@@ -5,12 +5,18 @@ beta_c put into the generator is not the population-level marginal log
 HR an unconfounded analysis recovers. The mapping has no closed form,
 so we measure it on a large synthetic population of potential outcomes
 (both arms per subject, common draws) and solve for the beta_c whose
-induced marginal effect hits a requested target by bisection.
+induced marginal effect hits a requested target.
 
 One fixed oracle seed per calibration makes the bracketing function a
-deterministic monotone function of beta_c, so plain bisection applies;
-the Monte Carlo error of the oracle population is folded into the
-solver tolerance, which must dominate it.
+deterministic, smooth, monotone function of beta_c, so a bracketed
+secant (Illinois regula falsi) applies; the Monte Carlo error of the
+oracle population is folded into the solver tolerance, which must
+dominate it.
+
+beta_c enters a treated gap time only as the factor e^{-beta_c} on the
+subject's control time, so one solve draws the population once and
+sorts each event's control times once; every oracle evaluation then
+rescales them, which leaves both arms presorted.
 
 The module ships the calibrated table for the five standard targets
 (marginal HR 1 to 3) so simulation runs do not pay the solve; passing
@@ -59,7 +65,8 @@ class CalibrationEntry:
 
 
 # published mapping for marginal HR targets 1, 1.5, 2, 2.5, 3 at the
-# default drift (x2 = x1 + N(0, 16)); regenerate with calibrate_table
+# default drift (x2 = x1 + N(0, 16)); regenerate with
+# `recurweight calibrate --targets 1,1.5,2,2.5,3`
 CALIBRATION_TABLE = (
     CalibrationEntry(0.0, 0.0, 0.0, DEFAULT_ORACLE_N, 0.0, DEFAULT_TOLERANCE),
     CalibrationEntry(0.4055, 0.4599, 0.2085, DEFAULT_ORACLE_N, 0.4055, DEFAULT_TOLERANCE),
@@ -77,6 +84,38 @@ def lookup_calibration(target_hr):
     return None
 
 
+def _census(scenario, oracle_n, seed):
+    """One oracle population's potential outcomes.
+
+    Drawn at beta_c = 0; callers use only the control columns, which do
+    not depend on beta_c.
+    """
+    if oracle_n < _MIN_ORACLE_N:
+        raise ValueError(f"oracle population must be at least {_MIN_ORACLE_N}")
+    cfg = ScenarioConfig(scenario=scenario, n_subjects=oracle_n)
+    return gen_potential_outcomes(cfg, RngStream(seed))
+
+
+def _census_log_hr(control, beta_c):
+    """Marginal log HR of the census whose sorted control times are `control`.
+
+    Stacks the treated and control outcomes of every subject and fits
+    an unweighted Cox model on the arm indicator. Every comparison of
+    a subject with themselves is exact, so no weighting is needed. A
+    treated time is the control time times e^{-beta_c}, so both arms
+    reach the fit already sorted.
+    """
+    n = len(control)
+    sample = SurvivalSample(
+        time=np.concatenate([control * np.exp(-beta_c), control]),
+        event=np.ones(2 * n),
+        treatment=np.concatenate([np.ones(n), np.zeros(n)]),
+        weight=np.ones(2 * n),
+        cluster=np.tile(np.arange(n), 2),
+    )
+    return fit_weighted_cox(sample, robust=False).log_hr
+
+
 def marginal_hr_oracle(
     beta_c,
     event,
@@ -86,31 +125,23 @@ def marginal_hr_oracle(
 ):
     """Marginal log HR induced by beta_c, from a potential-outcome census.
 
-    Stacks the treated and control outcomes of every subject and fits
-    an unweighted Cox model on the arm indicator. Every comparison of
-    a subject with themselves is exact, so no weighting is needed.
+    Draws its own census; calibrate_beta_c shares one across a solve.
     """
-    if oracle_n < _MIN_ORACLE_N:
-        raise ValueError(f"oracle population must be at least {_MIN_ORACLE_N}")
     if event not in (1, 2):
         raise ValueError("event must be 1 or 2")
-    cfg = ScenarioConfig(scenario=scenario, n_subjects=oracle_n, beta_c=beta_c)
-    po = gen_potential_outcomes(cfg, RngStream(seed))
-    treated = po[f"w{event}_treated"]
-    control = po[f"w{event}_control"]
-    n = len(po)
-    sample = SurvivalSample(
-        time=np.concatenate([treated, control]),
-        event=np.ones(2 * n),
-        treatment=np.concatenate([np.ones(n), np.zeros(n)]),
-        weight=np.ones(2 * n),
-        cluster=np.concatenate([np.arange(n), np.arange(n)]),
-    )
-    return fit_weighted_cox(sample).log_hr
+    po = _census(scenario, oracle_n, seed)
+    return _census_log_hr(np.sort(po[f"w{event}_control"]), beta_c)
 
 
 def _bisect(func, lo, hi, tolerance, max_iter=_MAX_BISECT_ITER):
-    """Root of a monotone increasing func, to |func(mid)| <= tolerance."""
+    """Root of a monotone increasing func, to |func(x)| <= tolerance.
+
+    Bracketed secant (Illinois regula falsi): each step takes the
+    secant through the bracket ends and halves the stored value of an
+    end that survives twice running, so the bracket closes from both
+    sides; a secant point outside the open bracket falls back to the
+    midpoint.
+    """
     f_lo = func(lo)
     if abs(f_lo) <= tolerance:
         return lo, f_lo
@@ -120,17 +151,28 @@ def _bisect(func, lo, hi, tolerance, max_iter=_MAX_BISECT_ITER):
             f"bracket [{lo}, {hi}] does not straddle the root "
             f"(f(lo)={f_lo:.4g}, f(hi)={f_hi:.4g})"
         )
+    if abs(f_hi) <= tolerance:
+        return hi, f_hi
+    moved = 0  # which end moved last: -1 lo, +1 hi
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if abs(f_mid) <= tolerance:
-            return mid, f_mid
-        if f_mid < 0:
-            lo = mid
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f_x = func(x)
+        if abs(f_x) <= tolerance:
+            return x, f_x
+        if f_x < 0:
+            lo, f_lo = x, f_x
+            if moved == -1:
+                f_hi *= 0.5
+            moved = -1
         else:
-            hi = mid
+            hi, f_hi = x, f_x
+            if moved == 1:
+                f_lo *= 0.5
+            moved = 1
     raise RuntimeError(
-        "bisection exhausted; tolerance is probably below the oracle's "
+        "root search exhausted; tolerance is probably below the oracle's "
         "Monte Carlo error"
     )
 
@@ -145,19 +187,25 @@ def calibrate_beta_c(
 
     Marginal effects are attenuated relative to conditional ones here,
     so the root lies in [target, 2 target + 0.5]; the oracle at fixed
-    seed is monotone increasing in beta_c over that range.
+    seed is monotone increasing in beta_c over that range. The census
+    is drawn once and shared by every evaluation of the solve.
     """
     if target_beta_m1 < 0:
         raise ValueError("target must be nonnegative")
     if target_beta_m1 == 0.0:
         return CalibrationEntry(0.0, 0.0, 0.0, oracle_n, 0.0, tolerance)
 
+    po = _census(Scenario.TVTreatmentCovariates, oracle_n, seed)
+    control1 = np.sort(po["w1_control"])
+    control2 = np.sort(po["w2_control"])
+    del po
+
     def gap(beta_c):
-        return marginal_hr_oracle(beta_c, 1, oracle_n=oracle_n, seed=seed) - target_beta_m1
+        return _census_log_hr(control1, beta_c) - target_beta_m1
 
     lo, hi = target_beta_m1, 2.0 * target_beta_m1 + 0.5
     beta_c, residual = _bisect(gap, lo, hi, tolerance)
-    beta_m2 = marginal_hr_oracle(beta_c, 2, oracle_n=oracle_n, seed=seed)
+    beta_m2 = _census_log_hr(control2, beta_c)
     return CalibrationEntry(
         beta_m1=target_beta_m1,
         beta_c=beta_c,
@@ -165,17 +213,4 @@ def calibrate_beta_c(
         oracle_n=oracle_n,
         achieved_beta_m1=target_beta_m1 + residual,
         tolerance=tolerance,
-    )
-
-
-def calibrate_table(
-    target_hrs=(1.0, 1.5, 2.0, 2.5, 3.0),
-    tolerance=DEFAULT_TOLERANCE,
-    oracle_n=DEFAULT_ORACLE_N,
-    seed=DEFAULT_ORACLE_SEED,
-):
-    """Calibrate a list of marginal HR targets (fresh solve, no cache)."""
-    return tuple(
-        calibrate_beta_c(float(np.log(hr)), tolerance, oracle_n, seed)
-        for hr in target_hrs
     )

@@ -236,9 +236,25 @@ def summarize(results, truth, event):
     )
 
 
+def _available_cpus():
+    """CPUs this process may run on, which respects affinity masks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return cpu_count()
+
+
 def _worker_count(n_reps):
     cap = os.environ.get(THREAD_ENV_VAR)
-    limit = cpu_count() if cap is None else max(1, int(cap))
+    if cap is None:
+        limit = _available_cpus()
+    else:
+        try:
+            limit = max(1, int(cap))
+        except ValueError:
+            raise ValueError(
+                f"{THREAD_ENV_VAR} must be an integer, got {cap!r}"
+            ) from None
     return max(1, min(limit, n_reps))
 
 

@@ -8,6 +8,7 @@ Monte Carlo error near 0.005 and the runtime in seconds.
 import numpy as np
 import pytest
 
+from recurweight import calibrate
 from recurweight.calibrate import (
     CALIBRATION_TABLE,
     CalibrationEntry,
@@ -16,6 +17,9 @@ from recurweight.calibrate import (
     lookup_calibration,
     marginal_hr_oracle,
 )
+from recurweight.coxfit import SurvivalSample, fit_weighted_cox
+from recurweight.simgen import Scenario, ScenarioConfig, gen_potential_outcomes
+from recurweight.statcore import RngStream
 
 LN2 = float(np.log(2.0))
 
@@ -129,3 +133,64 @@ def test_calibration_monotone_in_target():
     low = calibrate_beta_c(0.4055, tolerance=0.008, oracle_n=100_000)
     high = calibrate_beta_c(0.9163, tolerance=0.008, oracle_n=100_000)
     assert low.beta_c < high.beta_c
+
+
+@pytest.mark.parametrize("event", [1, 2])
+def test_census_oracle_matches_fresh_potential_outcomes(event):
+    # the oracle rescales sorted control times instead of drawing the
+    # treated arm at each beta_c; a direct fit on both drawn arms must
+    # agree up to rounding
+    beta_c, n = 0.9, 100_000
+    cfg = ScenarioConfig(Scenario.TVTreatmentCovariates, n_subjects=n, beta_c=beta_c)
+    po = gen_potential_outcomes(cfg, RngStream(calibrate.DEFAULT_ORACLE_SEED))
+    sample = SurvivalSample(
+        time=np.concatenate([po[f"w{event}_treated"], po[f"w{event}_control"]]),
+        event=np.ones(2 * n),
+        treatment=np.concatenate([np.ones(n), np.zeros(n)]),
+        weight=np.ones(2 * n),
+        cluster=np.tile(np.arange(n), 2),
+    )
+    direct = fit_weighted_cox(sample).log_hr
+    assert abs(marginal_hr_oracle(beta_c, event, oracle_n=n) - direct) <= 1e-6
+
+
+def test_calibration_solve_is_a_few_evaluations(monkeypatch):
+    # one census per solve and a secant on a smooth oracle: f(lo),
+    # f(hi), about one interior point, then the event-2 value
+    calls = []
+
+    def counting_fit(sample, robust=True):
+        calls.append(robust)
+        return fit_weighted_cox(sample, robust=robust)
+
+    draws = []
+
+    def counting_census(config, stream):
+        draws.append(config.n_subjects)
+        return gen_potential_outcomes(config, stream)
+
+    monkeypatch.setattr(calibrate, "fit_weighted_cox", counting_fit)
+    monkeypatch.setattr(calibrate, "gen_potential_outcomes", counting_census)
+    entry = calibrate_beta_c(LN2, tolerance=0.008, oracle_n=100_000)
+    assert abs(entry.achieved_beta_m1 - LN2) <= 0.008
+    assert len(calls) <= 5
+    assert not any(calls)  # the oracle never pays for a sandwich
+    assert draws == [100_000]
+
+
+def test_secant_beats_bisection_on_a_smooth_root():
+    evaluations = []
+
+    def f(x):
+        evaluations.append(x)
+        return np.expm1(x) - 1.0  # root at log 2, convex
+
+    root, res = _bisect(f, 0.0, 3.0, 1e-10)
+    assert abs(res) <= 1e-10
+    assert root == pytest.approx(np.log(2.0), abs=1e-9)
+    # plain bisection needs about 35 halvings of [0, 3] for this tolerance
+    assert len(evaluations) <= 15
+
+
+def test_secant_returns_upper_end_inside_tolerance():
+    assert _bisect(lambda x: x - 1.0, 0.0, 1.0, 1e-9) == (1.0, 0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from recurweight import coxfit
 from recurweight.coxfit import (
     CoxConvergenceError,
     MonotoneLikelihoodError,
@@ -81,6 +82,24 @@ class TestPartialLoglik:
         second = ll[2:] - 2 * ll[1:-1] + ll[:-2]
         assert np.all(second <= 1e-10)
 
+    def test_vector_beta_matches_scalar_calls(self):
+        rng = RngStream(406)
+        n = 25
+        t = draw_uniform(rng, n)
+        t[5] = t[6]  # a tie group
+        z = (draw_uniform(rng, n) < 0.5).astype(float)
+        w = 0.5 + draw_uniform(rng, n)
+        w[3] = 0.0
+        d = (draw_uniform(rng, n) < 0.8).astype(float)
+        s = make_sample(t, d, z, w)
+        grid = np.linspace(-3, 3, 13)
+        got = partial_loglik(grid, s)
+        assert got.shape == grid.shape
+        npt.assert_allclose(got, [partial_loglik(b, s) for b in grid], rtol=1e-13)
+        assert isinstance(partial_loglik(0.5, s), float)
+        with pytest.raises(ValueError):
+            partial_loglik(np.zeros((2, 2)), s)
+
 
 class TestFitWeightedCox:
     def test_closed_form_three_subjects(self):
@@ -124,7 +143,7 @@ class TestFitWeightedCox:
                 fit = fit_weighted_cox(s)
             except MonotoneLikelihoodError:
                 continue
-            ll = np.array([partial_loglik(b, s) for b in grid])
+            ll = partial_loglik(grid, s)
             best = grid[np.argmax(ll)]
             assert abs(fit.log_hr - best) <= 2e-4
             done += 1
@@ -183,8 +202,63 @@ class TestFitWeightedCox:
         fit = fit_weighted_cox(make_sample(t, np.ones(n), z))
         npt.assert_allclose(fit.log_hr, beta, atol=3 * fit.naive_se)
 
+    def test_robust_flag_leaves_estimate_unchanged(self):
+        rng = RngStream(85)
+        n = 300
+        t = draw_uniform(rng, n)
+        z = (draw_uniform(rng, n) < 0.5).astype(float)
+        d = (draw_uniform(rng, n) < 0.9).astype(float)
+        w = 0.5 + draw_uniform(rng, n)
+        s = make_sample(t, d, z, w, np.arange(n) // 3)
+        full = fit_weighted_cox(s)
+        bare = fit_weighted_cox(s, robust=False)
+        assert bare.log_hr == full.log_hr
+        assert bare.naive_se == full.naive_se
+        assert bare.n_iter == full.n_iter
+        assert np.isnan(bare.robust_se) and np.isfinite(full.robust_se)
+
+    def test_exhausted_halving_without_convergence_raises(self, monkeypatch):
+        # every trial step lowers the likelihood by far more than
+        # rounding, so step-halving can never restore ascent
+        real = coxfit._loglik_at
+
+        def falling(beta, *args):
+            loglik, s0, s1 = real(beta, *args)
+            return (loglik - 1.0 if beta != 0.0 else loglik), s0, s1
+
+        monkeypatch.setattr(coxfit, "_loglik_at", falling)
+        with pytest.raises(CoxConvergenceError, match="no ascent"):
+            fit_weighted_cox(THREE)
+
+    def test_nan_likelihood_is_not_an_ascent(self, monkeypatch):
+        real = coxfit._loglik_at
+
+        def poisoned(beta, *args):
+            loglik, s0, s1 = real(beta, *args)
+            return (np.nan if beta != 0.0 else loglik), s0, s1
+
+        monkeypatch.setattr(coxfit, "_loglik_at", poisoned)
+        with pytest.raises(CoxConvergenceError):
+            fit_weighted_cox(THREE)
+
 
 class TestRobustVariance:
+    @pytest.mark.parametrize("clustered", [True, False])
+    def test_standalone_equals_fit_sandwich(self, clustered):
+        # the fit reuses its sorted rows and risk sums; the standalone
+        # call re-derives them and must agree to the last bit
+        rng = RngStream(86)
+        n = 400
+        t = np.round(draw_uniform(rng, n), 2) + 0.01  # many ties
+        z = (draw_uniform(rng, n) < 0.5).astype(float)
+        d = (draw_uniform(rng, n) < 0.85).astype(float)
+        w = 0.5 + draw_uniform(rng, n)
+        w[::37] = 0.0
+        cluster = (np.arange(n) * 7919) % (n // 4) if clustered else np.arange(n)
+        s = make_sample(t, d, z, w, cluster)
+        fit = fit_weighted_cox(s)
+        assert float(np.sqrt(robust_variance(s, fit.log_hr))) == fit.robust_se
+
     def test_finite_difference_oracle(self):
         # s_i = w_i dU/dw_i, so the meat can be rebuilt from numerical
         # derivatives of the brute-force score

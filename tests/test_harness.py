@@ -7,13 +7,16 @@ Full 200-rep reproductions live in the acceptance suite.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from recurweight import harness
 from recurweight.calibrate import CalibrationEntry, lookup_calibration
 from recurweight.harness import (
     ReplicateResult,
+    _worker_count,
     run_replicate,
     run_simulation,
     summarize,
@@ -217,3 +220,34 @@ def test_simulation_thread_count_invariance(monkeypatch):
     monkeypatch.setenv("RECURWEIGHT_THREADS", "3")
     pooled = run_simulation(cfg, truth, 6, 88)
     assert serial == pooled
+
+
+def test_worker_count_follows_affinity_not_cpu_count(monkeypatch):
+    # a cgroup- or taskset-limited process sees fewer CPUs than the host
+    monkeypatch.delenv("RECURWEIGHT_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "cpu_count", lambda: 64)
+    assert _worker_count(100) == 2
+    assert _worker_count(1) == 1
+
+
+def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
+    monkeypatch.delenv("RECURWEIGHT_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness, "cpu_count", lambda: 3)
+    assert _worker_count(100) == 3
+
+
+def test_worker_count_env_cap(monkeypatch):
+    monkeypatch.setenv("RECURWEIGHT_THREADS", "5")
+    assert _worker_count(100) == 5
+    assert _worker_count(2) == 2
+    monkeypatch.setenv("RECURWEIGHT_THREADS", "0")
+    assert _worker_count(100) == 1
+
+
+@pytest.mark.parametrize("value", ["two", "", "1.5"])
+def test_worker_count_malformed_env_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("RECURWEIGHT_THREADS", value)
+    with pytest.raises(ValueError, match="RECURWEIGHT_THREADS"):
+        _worker_count(10)
