@@ -20,6 +20,7 @@ the bias_pct column, marked in md and JSON, noted in CSV comments.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -35,9 +36,10 @@ from .harness import run_simulation
 from .simgen import (
     ALPHA0_BY_PREVALENCE,
     GAMMA0_BY_PREVALENCE,
-    DATASET_CSV_HEADER,
+    ScenarioConfig,
     config_for,
     gen_dataset,
+    write_dataset_csv,
 )
 from .statcore import RngStream
 
@@ -73,14 +75,14 @@ class RunManifest:
     command: str
     scenario: int = 1
     n_subjects: int = 10_000
-    alpha0: float = ALPHA0_BY_PREVALENCE[0.25]
-    alpha1: float = float(np.log(1.5))
-    gamma0: float = GAMMA0_BY_PREVALENCE[0.25]
-    gamma1: float = float(np.log(1.5))
-    gamma2: float = float(np.log(1.5))
-    beta1: float = float(np.log(1.5))
-    baseline_rate: float = 1.0
-    drift_sd: float = 4.0
+    alpha0: float = ScenarioConfig.alpha0
+    alpha1: float = ScenarioConfig.alpha1
+    gamma0: float = ScenarioConfig.gamma0
+    gamma1: float = ScenarioConfig.gamma1
+    gamma2: float = ScenarioConfig.gamma2
+    beta1: float = ScenarioConfig.beta1
+    baseline_rate: float = ScenarioConfig.baseline_rate
+    drift_sd: float = ScenarioConfig.drift_sd
     tau: float = None
     prevalence: float = 0.25
     target_hrs: tuple = (1.5, 2.0, 2.5, 3.0)
@@ -220,13 +222,15 @@ def _manifest_lines(manifest, comment):
     return lines
 
 
-def _write_text(text, path):
+@contextmanager
+def _output(path):
+    """Text handle for one emitted file: stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
@@ -308,7 +312,8 @@ def emit_table(rows, output_format, path, manifest):
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {output_format!r}")
-    _write_text(text, path)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def emit_calibration(entries, target_hrs, output_format, path, manifest):
@@ -345,7 +350,8 @@ def emit_calibration(entries, target_hrs, output_format, path, manifest):
         lines.append("")
         lines.extend(_md_table(header, body))
         text = "\n".join(lines) + "\n"
-    _write_text(text, path)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _resolve_entry(hr, manifest):
@@ -426,16 +432,9 @@ def _cmd_generate(manifest):
     manifest.beta_c_values = (entry.beta_c,)
     config = _config_from(manifest, entry.beta_c)
     dataset = gen_dataset(config, RngStream(manifest.master_seed))
-    lines = _manifest_lines(manifest, "#")
-    lines.append(DATASET_CSV_HEADER)
-    for row in dataset:
-        lines.append(
-            f"{float(row['x1'])!r},{float(row['x2'])!r},"
-            f"{int(row['z1'])},{int(row['z2'])},"
-            f"{float(row['w1'])!r},{float(row['w2'])!r},"
-            f"{int(row['delta1'])},{int(row['delta2'])}"
-        )
-    _write_text("\n".join(lines) + "\n", manifest.output_path)
+    with _output(manifest.output_path) as fh:
+        fh.write("\n".join(_manifest_lines(manifest, "#")) + "\n")
+        write_dataset_csv(dataset, fh)
     return 0
 
 

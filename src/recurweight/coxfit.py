@@ -27,9 +27,9 @@ class CoxConvergenceError(RuntimeError):
 class SurvivalSample:
     """Rows for one Cox fit.
 
-    time : strictly positive gap times.
+    time : finite, strictly positive gap times.
     event : 1 for an observed event, 0 for a censored row.
-    treatment : binary z.
+    treatment : binary z, 0 or 1.
     weight : nonnegative case weights (stabilized weights in practice).
     cluster : subject ids; rows sharing an id form one cluster for the
         robust variance. Per-event fits use singleton clusters.
@@ -51,8 +51,13 @@ class SurvivalSample:
         for name in ("event", "treatment", "weight", "cluster"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} length does not match time")
-        if np.any(self.time <= 0.0):
-            raise ValueError("times must be strictly positive")
+        if not np.all(np.isfinite(self.time) & (self.time > 0.0)):
+            raise ValueError("times must be finite and strictly positive")
+        # the information formula of the fit assumes binary z
+        for name in ("event", "treatment"):
+            values = getattr(self, name)
+            if not np.all((values == 0.0) | (values == 1.0)):
+                raise ValueError(f"{name} values must be 0 or 1")
         if np.any(~np.isfinite(self.weight)) or np.any(self.weight < 0.0):
             raise ValueError("weights must be finite and nonnegative")
 

@@ -14,10 +14,6 @@ the treatment weights. Inverse-censoring weights are deliberately not
 part of this pipeline: the completion models sit on a heavy-tailed
 covariate, and their weights are unstable enough to dominate the fit
 (see the censoring demo for the comparison).
-
-Event fits are per event; the fixed-treatment design additionally
-gets one stacked fit over both gap times (both rows per subject,
-clustered), reported through diagnostics.
 """
 
 import os
@@ -51,12 +47,11 @@ _REPLICATE_FAILURES = (
 
 @dataclass
 class ReplicateResult:
-    beta_hat_1: float
-    beta_hat_2: float
-    naive_se_1: float
-    naive_se_2: float
-    robust_se_1: float
-    robust_se_2: float
+    """One replicate's estimates, each a tuple indexed by event - 1."""
+
+    beta_hat: tuple
+    naive_se: tuple
+    robust_se: tuple
     replicate_seed: int
     diagnostics: dict = field(default_factory=dict)
     failed: bool = False
@@ -104,9 +99,9 @@ def run_replicate(config, master_seed, replicate_index=0):
     try:
         return _run_replicate_inner(config, master_seed, replicate_index, seed_id)
     except _REPLICATE_FAILURES as exc:
-        nan = float("nan")
+        nans = (float("nan"), float("nan"))
         return ReplicateResult(
-            nan, nan, nan, nan, nan, nan,
+            nans, nans, nans,
             replicate_seed=seed_id,
             diagnostics={"failure": f"{type(exc).__name__}: {exc}"},
             failed=True,
@@ -131,17 +126,6 @@ def _run_replicate_inner(config, master_seed, replicate_index, seed_id):
     if config.tau is None:
         fit1 = _fit(ds["w1"], np.ones(n), ds["z1"], tw.sw1, subjects)
         fit2 = _fit(ds["w2"], np.ones(n), ds["z2"], tw.sw2, subjects)
-        if config.scenario is Scenario.IndependentGaps:
-            stacked = _fit(
-                np.concatenate([ds["w1"], ds["w2"]]),
-                np.ones(2 * n),
-                np.concatenate([ds["z1"], ds["z2"]]),
-                np.concatenate([tw.sw1, tw.sw2]),
-                np.concatenate([subjects, subjects]),
-            )
-            diagnostics["stacked_log_hr"] = stacked.log_hr
-            diagnostics["stacked_naive_se"] = stacked.naive_se
-            diagnostics["stacked_robust_se"] = stacked.robust_se
     else:
         diagnostics["censored_frac_event1"] = float(1.0 - ds["delta1"].mean())
         diagnostics["censored_frac_event2"] = float(1.0 - ds["delta2"].mean())
@@ -165,12 +149,9 @@ def _run_replicate_inner(config, master_seed, replicate_index, seed_id):
         )
 
     return ReplicateResult(
-        beta_hat_1=fit1.log_hr,
-        beta_hat_2=fit2.log_hr,
-        naive_se_1=fit1.naive_se,
-        naive_se_2=fit2.naive_se,
-        robust_se_1=fit1.robust_se,
-        robust_se_2=fit2.robust_se,
+        beta_hat=(fit1.log_hr, fit2.log_hr),
+        naive_se=(fit1.naive_se, fit2.naive_se),
+        robust_se=(fit1.robust_se, fit2.robust_se),
         replicate_seed=seed_id,
         diagnostics=diagnostics,
     )
@@ -189,24 +170,14 @@ def summarize(results, truth, event):
     ok = [r for r in results if not r.failed]
     if not ok:
         raise ValueError("all replicates failed")
-    if event == 1:
-        beta_m, estimates, naive, robust = (
-            truth.beta_m1,
-            [r.beta_hat_1 for r in ok],
-            [r.naive_se_1 for r in ok],
-            [r.robust_se_1 for r in ok],
-        )
-    elif event == 2:
-        beta_m, estimates, naive, robust = (
-            truth.beta_m2,
-            [r.beta_hat_2 for r in ok],
-            [r.naive_se_2 for r in ok],
-            [r.robust_se_2 for r in ok],
-        )
-    else:
+    if event not in (1, 2):
         raise ValueError("event must be 1 or 2")
+    k = event - 1
+    beta_m = (truth.beta_m1, truth.beta_m2)[k]
+    estimates = np.asarray([r.beta_hat[k] for r in ok])
+    naive = [r.naive_se[k] for r in ok]
+    robust = [r.robust_se[k] for r in ok]
 
-    estimates = np.asarray(estimates)
     r = len(estimates)
     mean_beta = float(estimates.mean())
     if beta_m == 0.0:

@@ -50,9 +50,9 @@ class ScenarioConfig:
 
     scenario: Scenario = Scenario.IndependentGaps
     n_subjects: int = 10_000
-    alpha0: float = -1.1392
+    alpha0: float = ALPHA0_BY_PREVALENCE[0.25]
     alpha1: float = LN15
-    gamma0: float = -1.7233
+    gamma0: float = GAMMA0_BY_PREVALENCE[0.25]
     gamma1: float = LN15
     gamma2: float = LN15
     beta1: float = LN15
@@ -190,16 +190,24 @@ def gen_potential_outcomes(config, stream):
 
 
 DATASET_CSV_HEADER = "x1,x2,z1,z2,w1,w2,delta1,delta2"
+# rows formatted per write: bounds the Python objects a dump holds at
+# once, which for a whole cohort would outweigh the cohort itself
+CSV_CHUNK_ROWS = 16_384
 
 
-def dataset_to_csv(ds, path):
-    """Dump a cohort in the interchange layout for external validation."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(DATASET_CSV_HEADER + "\n")
-        for row in ds:
-            fh.write(
-                f"{float(row['x1'])!r},{float(row['x2'])!r},"
-                f"{int(row['z1'])},{int(row['z2'])},"
-                f"{float(row['w1'])!r},{float(row['w2'])!r},"
-                f"{int(row['delta1'])},{int(row['delta2'])}\n"
+def write_dataset_csv(ds, fh):
+    """Write a cohort in the interchange layout to an open text handle.
+
+    Floats are written by repr, so the file parses back to the same
+    bits; indicators and treatments are written as 0/1.
+    """
+    fh.write(DATASET_CSV_HEADER + "\n")
+    names = DATASET_CSV_HEADER.split(",")
+    for start in range(0, len(ds), CSV_CHUNK_ROWS):
+        part = ds[start:start + CSV_CHUNK_ROWS]
+        fh.writelines(
+            f"{x1!r},{x2!r},{z1},{z2},{w1!r},{w2!r},{d1},{d2}\n"
+            for x1, x2, z1, z2, w1, w2, d1, d2 in zip(
+                *(part[name].tolist() for name in names)
             )
+        )

@@ -91,15 +91,13 @@ _IRLS_MAX_ITER = 25
 _SEPARATION_BOUND = 30.0
 
 
-def fit_logistic(design, response, case_weights=None):
+def fit_logistic(design, response):
     """Maximum-likelihood logistic regression via IRLS.
 
     Parameters
     ----------
     design : (n, p) array with an explicit intercept column.
     response : (n,) binary array.
-    case_weights : optional nonnegative (n,) array; rows with weight w
-        count as w copies.
 
     Returns
     -------
@@ -117,11 +115,8 @@ def fit_logistic(design, response, case_weights=None):
     n, p = X.shape
     if n < p:
         raise ValueError(f"need n >= p, got n={n}, p={p}")
-    w = np.ones(n) if case_weights is None else np.asarray(case_weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("case_weights must be nonnegative")
 
-    ybar = np.average(y, weights=w)
+    ybar = np.mean(y)
     if ybar <= 0.0 or ybar >= 1.0:
         raise SeparationError("constant response: logistic MLE is divergent")
 
@@ -130,9 +125,9 @@ def fit_logistic(design, response, case_weights=None):
     it = 0
     for it in range(1, _IRLS_MAX_ITER + 1):
         prob = _expit(X @ beta)
-        wls = w * prob * (1.0 - prob)
+        wls = prob * (1.0 - prob)
         info = X.T @ (X * wls[:, None])
-        score = X.T @ (w * (y - prob))
+        score = X.T @ (y - prob)
         step = np.linalg.solve(info, score)
         beta += step
         if np.max(np.abs(beta)) > _SEPARATION_BOUND:

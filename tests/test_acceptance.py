@@ -155,10 +155,10 @@ class TestEstimatorOracles:
                 fit = fit_weighted_cox(s)
             except MonotoneLikelihoodError:
                 continue
-            ll = np.array([partial_loglik(b, s) for b in coarse])
+            ll = partial_loglik(coarse, s)
             anchor = coarse[np.argmax(ll)]
             fine = anchor + np.arange(-200, 201) * 1e-4
-            ll = np.array([partial_loglik(b, s) for b in fine])
+            ll = partial_loglik(fine, s)
             best = fine[np.argmax(ll)]
             assert abs(fit.log_hr - best) <= 2e-4, (
                 f"sample {done}: newton {fit.log_hr:.6f} vs grid {best:.6f}"

@@ -9,13 +9,17 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 from recurweight.cli import (
     CALIBRATION_COLUMNS,
     SUMMARY_COLUMNS,
+    _config_from,
     emit_table,
     main,
     parse_args,
 )
+from recurweight.simgen import ScenarioConfig
 
 
 def run_cli(args):
@@ -176,6 +180,31 @@ def test_generate_schema_and_determinism(tmp_path):
     )
     assert set(arr.dtype.names) == set(data[0].split(","))
     assert np.all((arr["delta2"] <= arr["delta1"]))
+
+
+def test_generate_stdout_equals_out_file(tmp_path, capsys):
+    out = tmp_path / "cohort.csv"
+    cmd = "generate --scenario tv-covariates --target-hr 2 --n 40 --seed 9".split()
+    assert run_cli(cmd + ["--out", str(out)]) == 0
+    assert run_cli(cmd) == 0
+    printed = capsys.readouterr().out
+    # the manifest records where the output went; nothing else differs
+    assert "# output_path: None\n" in printed
+    assert printed.replace("# output_path: None\n", f"# output_path: {out}\n") == (
+        out.read_text()
+    )
+
+
+def test_manifest_generator_fields_match_the_config():
+    m = parse_args(
+        "generate --scenario tv-treatment --prevalence 0.5 --tau 2".split()
+    )
+    config = _config_from(m, beta_c=0.46)
+    shared = {f.name for f in fields(ScenarioConfig)} & {f.name for f in fields(m)}
+    assert {"alpha0", "alpha1", "gamma0", "gamma1", "gamma2", "beta1",
+            "baseline_rate", "drift_sd"} <= shared
+    for name in shared:
+        assert getattr(m, name) == getattr(config, name), name
 
 
 def test_calibrate_small_oracle(tmp_path):

@@ -344,6 +344,22 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             make_sample([1.0, 0.0], [1, 1], [1, 0])
 
+    @pytest.mark.parametrize(
+        "time, event, z",
+        [
+            ([1.0, np.nan], [1, 1], [1, 0]),
+            ([1.0, np.inf], [1, 1], [1, 0]),
+            ([1.0, 2.0], [1, 2], [1, 0]),
+            ([1.0, 2.0], [1, 0.5], [1, 0]),
+            ([1.0, 2.0], [1, 1], [1, 0.5]),
+            ([1.0, 2.0], [1, 1], [2, 0]),
+            ([1.0, 2.0], [1, 1], [-1, 0]),
+        ],
+    )
+    def test_rejects_nonfinite_time_and_nonbinary_columns(self, time, event, z):
+        with pytest.raises(ValueError):
+            make_sample(time, event, z)
+
     def test_negative_weight(self):
         with pytest.raises(ValueError):
             make_sample([1.0, 2.0], [1, 1], [1, 0], w=[1.0, -0.5])

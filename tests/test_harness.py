@@ -28,12 +28,9 @@ TRUTH_LN2 = lookup_calibration(2.0)
 
 def make_result(b1=0.4, b2=0.2, failed=False):
     return ReplicateResult(
-        beta_hat_1=b1,
-        beta_hat_2=b2,
-        naive_se_1=0.02,
-        naive_se_2=0.03,
-        robust_se_1=0.025,
-        robust_se_2=0.035,
+        beta_hat=(b1, b2),
+        naive_se=(0.02, 0.03),
+        robust_se=(0.025, 0.035),
         replicate_seed=1,
         failed=failed,
     )
@@ -116,26 +113,6 @@ def test_replicate_seeds_distinct():
     assert all(isinstance(s, int) for s in seeds)
 
 
-def test_replicate_scenario1_stacked_diagnostics():
-    cfg = config_for(1, 0.25, 10_000, beta_c=0.4599)
-    r = run_replicate(cfg, 7, 0)
-    assert not r.failed
-    for key in ("stacked_log_hr", "stacked_naive_se", "stacked_robust_se"):
-        assert key in r.diagnostics
-    # stacked estimate cannot stray far from the two per-event fits
-    lo = min(r.beta_hat_1, r.beta_hat_2)
-    hi = max(r.beta_hat_1, r.beta_hat_2)
-    margin = 3 * r.diagnostics["stacked_robust_se"]
-    assert lo - margin < r.diagnostics["stacked_log_hr"] < hi + margin
-    assert 0.9 < r.diagnostics["sw1_mean"] < 1.1
-    assert 0.9 < r.diagnostics["sw2_mean"] < 1.1
-
-
-def test_replicate_scenario2_has_no_stacked_fit():
-    r = run_replicate(config_for(2, 0.25, 1_500), 7, 0)
-    assert "stacked_log_hr" not in r.diagnostics
-
-
 def test_replicate_censored_diagnostics():
     cfg = config_for(3, 0.25, 4_000, beta_c=0.4599, tau=1.0)
     r = run_replicate(cfg, 7, 1)
@@ -144,7 +121,7 @@ def test_replicate_censored_diagnostics():
     assert r.diagnostics["weight_models"] == "observed-rows"
     assert 0.2 < r.diagnostics["censored_frac_event1"] < 0.45
     assert r.diagnostics["censored_frac_event2"] > r.diagnostics["censored_frac_event1"]
-    for v in (r.beta_hat_1, r.beta_hat_2, r.robust_se_1, r.robust_se_2):
+    for v in (*r.beta_hat, *r.robust_se):
         assert np.isfinite(v)
 
 
@@ -154,15 +131,18 @@ def test_replicate_failure_is_flagged_not_raised():
     r = run_replicate(cfg, 11, 0)
     assert r.failed
     assert "failure" in r.diagnostics
-    assert math.isnan(r.beta_hat_1)
+    assert math.isnan(r.beta_hat[0])
 
 
 def test_null_effect_coverage():
     cfg = config_for(1, 0.25, 2_000, beta_c=0.0)
     results = [run_replicate(cfg, 313, i) for i in range(30)]
     assert not any(r.failed for r in results)
-    covered = [abs(r.beta_hat_1) < 4 * r.robust_se_1 for r in results]
+    covered = [abs(r.beta_hat[0]) < 4 * r.robust_se[0] for r in results]
     assert all(covered)
+    for r in results:
+        assert 0.9 < r.diagnostics["sw1_mean"] < 1.1
+        assert 0.9 < r.diagnostics["sw2_mean"] < 1.1
 
 
 def test_simulation_matches_published_spread():

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from recurweight import simgen
 from recurweight.simgen import (
     DATASET_CSV_HEADER,
     LN15,
     Scenario,
     ScenarioConfig,
     config_for,
-    dataset_to_csv,
     gen_dataset,
     gen_gap_time,
     gen_potential_outcomes,
+    write_dataset_csv,
 )
 from recurweight.statcore import RngStream, draw_uniform
 
@@ -159,13 +160,22 @@ def test_potential_outcomes_share_first_event_with_dataset():
     assert np.allclose(ds["w1"], factual, rtol=0, atol=0)
 
 
-def test_csv_roundtrip(tmp_path):
+def test_csv_roundtrip(tmp_path, monkeypatch):
+    # 50 rows are one past a boundary of 7-row chunks
+    monkeypatch.setattr(simgen, "CSV_CHUNK_ROWS", 7)
     cfg = config_for(3, 0.25, 50, beta_c=0.46, tau=1.0)
     ds = gen_dataset(cfg, RngStream(24))
     path = tmp_path / "cohort.csv"
-    dataset_to_csv(ds, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_dataset_csv(ds, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == DATASET_CSV_HEADER
+    # the row-by-row layout the column-wise writer must reproduce
+    assert lines[1:] == [
+        f"{float(r['x1'])!r},{float(r['x2'])!r},{int(r['z1'])},{int(r['z2'])},"
+        f"{float(r['w1'])!r},{float(r['w2'])!r},{int(r['delta1'])},{int(r['delta2'])}"
+        for r in ds
+    ]
     back = np.genfromtxt(path, delimiter=",", names=True)
     for col in ("x1", "x2", "w1", "w2"):
         assert np.array_equal(back[col], ds[col])

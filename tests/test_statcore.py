@@ -125,29 +125,16 @@ class TestFitLogistic:
             fit_logistic(X, y)
 
     def test_intercept_score_equation(self):
-        # mean fitted probability equals the weighted response mean
+        # mean fitted probability equals the response mean
         s = RngStream(31)
         n = 5000
         x = draw_normal(s, 0.0, 1.0, n)
         y = (draw_uniform(s, n) < expit(0.3 - 0.8 * x)).astype(float)
-        w = 1.0 + draw_uniform(s, n)
         X = np.column_stack([np.ones(n), x])
-        fit = fit_logistic(X, y, case_weights=w)
+        fit = fit_logistic(X, y)
         npt.assert_allclose(
-            np.average(fit.fitted_probabilities, weights=w),
-            np.average(y, weights=w),
-            atol=1e-8,
+            np.mean(fit.fitted_probabilities), np.mean(y), atol=1e-8
         )
-
-    def test_case_weights_equal_duplication(self):
-        X = np.column_stack([np.ones(4), np.array([0.0, 1.0, 2.0, 3.0])])
-        y = np.array([0.0, 1.0, 0.0, 1.0])
-        w = np.array([1.0, 2.0, 1.0, 2.0])
-        dup = fit_logistic(
-            np.vstack([X, X[[1, 3]]]), np.concatenate([y, y[[1, 3]]])
-        )
-        weighted = fit_logistic(X, y, case_weights=w)
-        npt.assert_allclose(weighted.coefficients, dup.coefficients, atol=1e-7)
 
     def test_fitted_probabilities_open_interval(self):
         s = RngStream(37)
