@@ -32,6 +32,8 @@ from .simgen import Scenario, ScenarioConfig, gen_potential_outcomes
 from .statcore import RngStream
 
 DEFAULT_ORACLE_SEED = 12345
+# the design whose census defines the marginal truths
+ORACLE_SCENARIO = Scenario.TVTreatmentCovariates
 DEFAULT_ORACLE_N = 1_000_000
 DEFAULT_TOLERANCE = 0.005
 _MIN_ORACLE_N = 100_000
@@ -119,7 +121,7 @@ def _census_log_hr(control, beta_c):
 def marginal_hr_oracle(
     beta_c,
     event,
-    scenario=Scenario.TVTreatmentCovariates,
+    scenario=ORACLE_SCENARIO,
     oracle_n=DEFAULT_ORACLE_N,
     seed=DEFAULT_ORACLE_SEED,
 ):
@@ -195,7 +197,7 @@ def calibrate_beta_c(
     if target_beta_m1 == 0.0:
         return CalibrationEntry(0.0, 0.0, 0.0, oracle_n, 0.0, tolerance)
 
-    po = _census(Scenario.TVTreatmentCovariates, oracle_n, seed)
+    po = _census(ORACLE_SCENARIO, oracle_n, seed)
     control1 = np.sort(po["w1_control"])
     control2 = np.sort(po["w2_control"])
     del po

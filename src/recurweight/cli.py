@@ -29,6 +29,7 @@ from . import __version__
 from .calibrate import (
     DEFAULT_ORACLE_N,
     DEFAULT_ORACLE_SEED,
+    ORACLE_SCENARIO,
     calibrate_beta_c,
     lookup_calibration,
 )
@@ -93,6 +94,13 @@ class RunManifest:
     recalibrate: bool = False
     oracle_n: int = DEFAULT_ORACLE_N
     beta_c_values: tuple = field(default_factory=tuple)
+
+
+# the manifest fields a calibration solve reads; the others are study inputs
+_CALIBRATE_FIELDS = (
+    "command", "scenario", "beta1", "baseline_rate", "drift_sd", "target_hrs",
+    "oracle_n", "master_seed", "output_format", "output_path", "beta_c_values",
+)
 
 
 def _parse_targets(text, parser):
@@ -161,6 +169,7 @@ def parse_args(argv):
     if args.command == "calibrate":
         return RunManifest(
             command="calibrate",
+            scenario=int(ORACLE_SCENARIO),
             target_hrs=_parse_targets(args.targets, parser),
             oracle_n=args.oracle_n,
             master_seed=args.seed,
@@ -213,9 +222,16 @@ def _fmt(value):
     return str(value)
 
 
+def _manifest_items(manifest):
+    items = asdict(manifest)
+    if manifest.command == "calibrate":
+        return {key: items[key] for key in _CALIBRATE_FIELDS}
+    return items
+
+
 def _manifest_lines(manifest, comment):
     lines = [f"{comment} recurweight {__version__} {manifest.command}"]
-    for key, value in asdict(manifest).items():
+    for key, value in _manifest_items(manifest).items():
         if isinstance(value, tuple):
             value = ",".join(repr(v) for v in value)
         lines.append(f"{comment} {key}: {value}")
@@ -249,7 +265,7 @@ def _rows_to_json(rows, manifest, extra=()):
         "package": f"recurweight {__version__}",
         "manifest": {
             k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in asdict(manifest).items()
+            for k, v in _manifest_items(manifest).items()
         },
         "rows": [dict(r) for r in rows],
     }

@@ -7,6 +7,15 @@ the naive inverse observed information, and the sandwich built from
 cluster-summed score residuals, which stays valid when weighting makes
 rows of one subject correlated. The sandwich is skipped when the
 caller needs only the point estimate.
+
+Because z is binary, every risk-set sum factors through two sums that
+do not depend on beta (Therneau & Grambsch 2000, Modeling Survival
+Data, section 3): with A0 and A1 the weight of the control and of the
+treated rows at risk, S0(beta) = A0 + e^beta A1 and S1(beta) = e^beta A1.
+A fit takes A0 and A1 once, at the event rows, so each likelihood,
+score and information evaluation costs one scalar exp and a pass over
+the events. Unweighted arm sums are exact integers, so the likelihood
+carries no rounding from cumulative sums that change with beta.
 """
 
 from dataclasses import dataclass
@@ -53,7 +62,7 @@ class SurvivalSample:
                 raise ValueError(f"{name} length does not match time")
         if not np.all(np.isfinite(self.time) & (self.time > 0.0)):
             raise ValueError("times must be finite and strictly positive")
-        # the information formula of the fit assumes binary z
+        # the factored risk sums of the fit assume binary z
         for name in ("event", "treatment"):
             values = getattr(self, name)
             if not np.all((values == 0.0) | (values == 1.0)):
@@ -85,8 +94,9 @@ class _RiskSets(NamedTuple):
     """The positive-weight rows of a sample, sorted by time.
 
     keep indexes those rows in the sample and perm puts them in time
-    order; t, d, z, w are the sorted columns, and first[j] is the first
-    row tied with row j, so row j's risk set is the suffix from there.
+    order; t, d, z, w are the sorted columns. first[j] is the first
+    row tied with row j, so row j's risk set is the suffix from there;
+    first is None when no times tie, since it would be the identity.
     """
 
     keep: np.ndarray
@@ -98,6 +108,22 @@ class _RiskSets(NamedTuple):
     first: np.ndarray
 
 
+class _ArmSums(NamedTuple):
+    """The beta-free pieces of the risk sums, at the event rows.
+
+    w holds the event rows' weights, a0 and a1 the control and treated
+    weight at risk at each of them, and d1 = sum of w z over them.
+    rows indexes the event rows among the sorted rows, or is None when
+    every row is an event, so the arrays need no gather.
+    """
+
+    w: np.ndarray
+    a0: np.ndarray
+    a1: np.ndarray
+    d1: float
+    rows: np.ndarray
+
+
 def _sorted_arrays(sample):
     # zero-weight rows contribute nothing to the likelihood, the score,
     # or any residual; dropping them up front also keeps suffix risk
@@ -106,22 +132,36 @@ def _sorted_arrays(sample):
     perm = np.argsort(sample.time[keep], kind="stable")
     order = keep[perm]
     t = sample.time[order]
-    # index of the first row in each tie group; risk sets are suffixes
-    first = np.searchsorted(t, t, side="left")
+    first = None
+    if np.any(t[1:] == t[:-1]):
+        first = np.searchsorted(t, t, side="left")
     return _RiskSets(
         keep, perm, t, sample.event[order], sample.treatment[order],
         sample.weight[order], first,
     )
 
 
-def _suffix_at(x, first):
-    # risk-set sums along the last axis; leading axes index betas
-    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1][..., first]
+def _arm_sums(rs):
+    wz = rs.w * rs.z
+    a1 = np.cumsum(wz[::-1])[::-1]
+    # w - w z is w (1 - z) exactly for binary z
+    a0 = np.cumsum((rs.w - wz)[::-1])[::-1]
+    # an event row reads the suffix sums at its first tied row; each
+    # gather is skipped where it would be the identity, which keeps
+    # copies of 2 x 10^6-row oracle arrays out of the peak memory
+    rows, at, w = None, rs.first, rs.w
+    if not np.all(rs.d > 0):
+        rows = np.flatnonzero(rs.d)
+        at = rows if at is None else at[rows]
+        w, wz = w[rows], wz[rows]
+    if at is not None:
+        a0, a1 = a0[at], a1[at]
+    return _ArmSums(w, a0, a1, float(np.sum(wz)), rows)
 
 
-def _risk_sums(beta, z, w, first):
-    r = w * np.exp(beta * z)
-    return _suffix_at(r, first), _suffix_at(r * z, first)
+def _risk_sums(beta, arms):
+    s1 = np.exp(beta) * arms.a1
+    return arms.a0 + s1, s1
 
 
 def partial_loglik(beta, sample):
@@ -129,32 +169,33 @@ def partial_loglik(beta, sample):
 
     A scalar beta gives a float. A 1-D array of betas gives one value
     per beta from a single sort of the sample, at the cost of
-    len(beta) x len(sample) temporaries.
+    len(beta) x (number of events) temporaries.
     """
-    rs = _sorted_arrays(sample)
     b = np.asarray(beta, dtype=float)
     if b.ndim > 1:
         raise ValueError("beta must be a scalar or a 1-D array")
-    bz = b[..., None] * rs.z
-    s0 = _suffix_at(rs.w * np.exp(bz), rs.first)
-    loglik = np.sum(rs.w * rs.d * (bz - np.log(s0)), axis=-1)
+    arms = _arm_sums(_sorted_arrays(sample))
+    s0, _ = _risk_sums(b[..., None], arms)
+    loglik = b * arms.d1 - np.sum(arms.w * np.log(s0), axis=-1)
     return float(loglik) if b.ndim == 0 else loglik
 
 
-def _loglik_at(beta, d, z, w, first):
+def _loglik_at(beta, arms):
     """Log partial likelihood at beta, with the risk sums behind it."""
-    s0, s1 = _risk_sums(beta, z, w, first)
-    return np.sum(w * d * (beta * z - np.log(s0))), s0, s1
+    s0, s1 = _risk_sums(beta, arms)
+    return beta * arms.d1 - np.sum(arms.w * np.log(s0)), s0, s1
 
 
 def fit_weighted_cox(sample, robust=True):
     """Newton-Raphson maximizer of the weighted partial likelihood.
 
-    Step-halving keeps the likelihood nondecreasing; convergence is
-    declared when |score| < 1e-9 or the step falls below 1e-10. When
-    10 halvings find no ascent, the step is kept only if it passes that
-    convergence test or the drop is within the likelihood's rounding
-    noise, 1e-10 |loglik| (rounding near the optimum does this).
+    The fit sorts the sample once and takes the beta-free arm sums
+    once (see the module docstring); every evaluation then reads only
+    the event rows. Convergence is declared when |score| < 1e-9 or the
+    step falls below 1e-10. Step-halving accepts a trial point whose
+    likelihood is no lower than the current one less the rounding
+    allowance max(1e-12, 1e-10 |loglik|); when 10 halvings find no
+    such point, the step is kept only if it passes the convergence test.
 
     robust=False skips the sandwich variance and reports robust_se as
     nan; log_hr, naive_se and n_iter do not depend on it.
@@ -165,34 +206,35 @@ def fit_weighted_cox(sample, robust=True):
     leaves a drop beyond rounding away from convergence.
     """
     rs = _sorted_arrays(sample)
-    d, z, w, first = rs.d, rs.z, rs.w, rs.first
-    events = (d > 0) & (w > 0)
-    if not (np.any(events & (z > 0)) and np.any(events & (z <= 0))):
+    n_treated = np.count_nonzero(rs.d * rs.z)
+    if not 0 < n_treated < np.count_nonzero(rs.d):
         raise MonotoneLikelihoodError("need a weighted event in each arm")
+    arms = _arm_sums(rs)
+    w = arms.w
 
     beta = 0.0
     # s0, s1 are the risk sums at beta; each likelihood evaluation
     # returns them, so the accepted step's sums serve the next iterate
-    loglik, s0, s1 = _loglik_at(beta, d, z, w, first)
+    loglik, s0, s1 = _loglik_at(beta, arms)
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
         m = s1 / s0
-        score = np.sum(w * d * (z - m))
+        score = arms.d1 - np.sum(w * m)
         # for binary z the second risk moment equals the first
-        info = np.sum(w * d * (m - m * m))
+        info = np.sum(w * (m - m * m))
         step = score / info
-        new_beta = beta + step
-        new_loglik, s0, s1 = _loglik_at(new_beta, d, z, w, first)
+        # one rounding allowance serves the line search and the drop
+        # test; written so that a nan likelihood counts as a drop
+        floor = loglik - max(1e-12, _LOGLIK_RTOL * abs(loglik))
+        new_loglik, s0, s1 = _loglik_at(beta + step, arms)
         for _ in range(_MAX_HALVINGS):
-            if new_loglik >= loglik - 1e-12:
+            if new_loglik >= floor:
                 break
             step *= 0.5
-            new_beta = beta + step
-            new_loglik, s0, s1 = _loglik_at(new_beta, d, z, w, first)
-        # written so that a nan likelihood counts as a drop
-        dropped = not loglik - new_loglik <= max(1e-12, _LOGLIK_RTOL * abs(loglik))
-        beta, loglik = new_beta, new_loglik
+            new_loglik, s0, s1 = _loglik_at(beta + step, arms)
+        dropped = not new_loglik >= floor
+        beta, loglik = beta + step, new_loglik
         if abs(beta) > _BETA_BOUND:
             raise MonotoneLikelihoodError(
                 f"estimate escaped |beta| > {_BETA_BOUND}: monotone likelihood"
@@ -209,12 +251,14 @@ def fit_weighted_cox(sample, robust=True):
         raise CoxConvergenceError(f"no convergence in {_MAX_ITER} iterations")
 
     m = s1 / s0
-    info = np.sum(w * d * (m - m * m))
+    info = np.sum(w * (m - m * m))
     if info <= 0.0:
         raise MonotoneLikelihoodError("nonpositive information at the optimum")
     naive_se = 1.0 / np.sqrt(info)
     if robust:
-        robust_se = float(np.sqrt(robust_variance(sample, beta, _fitted=(rs, s0, s1))))
+        robust_se = float(np.sqrt(
+            robust_variance(sample, beta, _fitted=(rs, arms, s0, s1))
+        ))
     else:
         robust_se = float("nan")
     return CoxFit(
@@ -237,23 +281,33 @@ def robust_variance(sample, log_hr, *, _fitted=None):
     B(t) the same sum of w d m / S0(u). Each s_i equals w_i times the
     derivative of the total score with respect to w_i.
 
-    _fitted is fit_weighted_cox's (sorted rows, S0, S1 at log_hr), so
-    the fit's sandwich neither re-sorts nor recomputes the risk sums.
+    _fitted is fit_weighted_cox's (sorted rows, arm sums, S0, S1 at
+    log_hr), so the fit's sandwich neither re-sorts nor recomputes the
+    risk sums.
     """
     beta = float(log_hr)
     if _fitted is None:
         rs = _sorted_arrays(sample)
-        s0, s1 = _risk_sums(beta, rs.z, rs.w, rs.first)
+        arms = _arm_sums(rs)
+        s0, s1 = _risk_sums(beta, arms)
     else:
-        rs, s0, s1 = _fitted
-    t, d, z, w = rs.t, rs.d, rs.z, rs.w
+        rs, arms, s0, s1 = _fitted
     m = s1 / s0
-    info = np.sum(w * d * (m - m * m))
+    info = np.sum(arms.w * (m - m * m))
     if info <= 0.0:
         raise MonotoneLikelihoodError("singular information in sandwich")
-    last = np.searchsorted(t, t, side="right") - 1
-    a = np.cumsum(w * d / s0)[last]
-    b = np.cumsum(w * d * m / s0)[last]
+    t, d, z, w = rs.t, rs.d, rs.z, rs.w
+    jump = arms.w / s0
+    if arms.rows is not None:
+        # censored rows add nothing to A, B or the event term
+        spread = np.zeros((2, len(t)))
+        spread[:, arms.rows] = jump, m
+        jump, m = spread
+    a = np.cumsum(jump)
+    b = np.cumsum(jump * m)
+    if rs.first is not None:
+        last = np.searchsorted(t, t, side="right") - 1
+        a, b = a[last], b[last]
     resid = w * (d * (z - m) - np.exp(beta * z) * (z * a - b))
 
     # clusters numbered in sorted label order, taken in time order;

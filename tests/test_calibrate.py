@@ -8,7 +8,7 @@ Monte Carlo error near 0.005 and the runtime in seconds.
 import numpy as np
 import pytest
 
-from recurweight import calibrate
+from recurweight import calibrate, coxfit
 from recurweight.calibrate import (
     CALIBRATION_TABLE,
     CalibrationEntry,
@@ -176,6 +176,33 @@ def test_calibration_solve_is_a_few_evaluations(monkeypatch):
     assert len(calls) <= 5
     assert not any(calls)  # the oracle never pays for a sandwich
     assert draws == [100_000]
+
+
+def test_oracle_fit_does_not_crawl_at_the_noise_floor(monkeypatch):
+    # at this seed the f(hi) fit of a full-size solve once took 16
+    # Newton iterations and 89 likelihood evaluations, because rounding
+    # noise in the likelihood made step-halving reject good steps; a
+    # fit whose every step is accepted evaluates once per iterate
+    po = calibrate._census(calibrate.ORACLE_SCENARIO, 1_000_000, 202)
+    control = np.sort(po["w1_control"])
+    del po
+    fits, evaluations = [], []
+    real_loglik = coxfit._loglik_at
+
+    def counting_loglik(beta, *args):
+        evaluations.append(beta)
+        return real_loglik(beta, *args)
+
+    def recording_fit(sample, robust=True):
+        fits.append(fit_weighted_cox(sample, robust=robust))
+        return fits[-1]
+
+    monkeypatch.setattr(coxfit, "_loglik_at", counting_loglik)
+    monkeypatch.setattr(calibrate, "fit_weighted_cox", recording_fit)
+    calibrate._census_log_hr(control, 2.0 * LN2 + 0.5)
+    (fit,) = fits
+    assert fit.n_iter <= 6
+    assert len(evaluations) == fit.n_iter + 1
 
 
 def test_secant_beats_bisection_on_a_smooth_root():

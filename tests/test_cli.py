@@ -11,10 +11,12 @@ import pytest
 
 from dataclasses import fields
 
+from recurweight.calibrate import lookup_calibration
 from recurweight.cli import (
     CALIBRATION_COLUMNS,
     SUMMARY_COLUMNS,
     _config_from,
+    emit_calibration,
     emit_table,
     main,
     parse_args,
@@ -223,6 +225,34 @@ def test_calibrate_small_oracle(tmp_path):
     assert float(row["beta_c"]) == pytest.approx(0.4599, abs=0.03)
     assert float(row["beta_m2"]) == pytest.approx(0.2085, abs=0.03)
     assert row["hr1"] == "1.5000"
+
+
+def test_calibrate_manifest_lists_what_governs_the_solve(tmp_path):
+    # the solve reads the census design and the oracle settings; the
+    # study-only fields (n_reps, prevalence, tau, intercepts) stay out
+    m = parse_args("calibrate --targets 2 --oracle-n 200000 --seed 7".split())
+    m.beta_c_values = (0.783,)
+    want = {
+        "command": "calibrate", "scenario": 3,
+        "beta1": ScenarioConfig.beta1,
+        "baseline_rate": ScenarioConfig.baseline_rate,
+        "drift_sd": ScenarioConfig.drift_sd,
+        "target_hrs": [2.0], "oracle_n": 200_000, "master_seed": 7,
+        "output_format": "csv", "output_path": None, "beta_c_values": [0.783],
+    }
+    entry = lookup_calibration(2.0)
+    out = tmp_path / "cal.json"
+    emit_calibration([entry], (2.0,), "json", str(out), m)
+    manifest = json.loads(out.read_text())["manifest"]
+    assert list(manifest) == list(want)
+    assert manifest == want
+    for fmt, mark in (("csv", "#"), ("md", ">")):
+        out = tmp_path / f"cal.{fmt}"
+        emit_calibration([entry], (2.0,), fmt, str(out), m)
+        keys = [line[2:].split(":")[0] for line in out.read_text().splitlines()
+                if line.startswith(f"{mark} ") and ": " in line]
+        assert keys == list(want)
+        assert f"{mark} scenario: 3" in out.read_text()
 
 
 def test_calibrate_md_hr_rendering(tmp_path):
