@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,29 +71,34 @@ DEFAULT_MASTER_SEED = 1234
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce one invocation."""
+    """Everything needed to reproduce one invocation.
+
+    Fields print in this order. parse_args sets every field that
+    defaults to None; the command fills in beta_c_values once the
+    truth is resolved.
+    """
 
     command: str
-    scenario: int = 1
-    n_subjects: int = 10_000
-    alpha0: float = ScenarioConfig.alpha0
+    scenario: int = None
+    n_subjects: int = None
+    alpha0: float = None
     alpha1: float = ScenarioConfig.alpha1
-    gamma0: float = ScenarioConfig.gamma0
+    gamma0: float = None
     gamma1: float = ScenarioConfig.gamma1
     gamma2: float = ScenarioConfig.gamma2
     beta1: float = ScenarioConfig.beta1
     baseline_rate: float = ScenarioConfig.baseline_rate
     drift_sd: float = ScenarioConfig.drift_sd
     tau: float = None
-    prevalence: float = 0.25
-    target_hrs: tuple = (1.5, 2.0, 2.5, 3.0)
-    n_reps: int = 1_000
-    master_seed: int = DEFAULT_MASTER_SEED
-    output_format: str = "csv"
+    prevalence: float = None
+    target_hrs: tuple = None
+    n_reps: int = None
+    master_seed: int = None
+    output_format: str = None
     output_path: str = None
-    recalibrate: bool = False
-    oracle_n: int = DEFAULT_ORACLE_N
-    beta_c_values: tuple = field(default_factory=tuple)
+    recalibrate: bool = None
+    oracle_n: int = None
+    beta_c_values: tuple = ()
 
 
 # the manifest fields a calibration solve reads; the others are study inputs
@@ -123,7 +128,7 @@ def _positive(kind, name):
     return convert
 
 
-def _add_common(sub, with_tau=True):
+def _add_common(sub, target_hr):
     sub.add_argument(
         "--scenario", choices=sorted(SCENARIO_BY_NAME), default=None
     )
@@ -131,9 +136,8 @@ def _add_common(sub, with_tau=True):
     sub.add_argument(
         "--prevalence", type=float, choices=[0.25, 0.5], default=0.25
     )
-    sub.add_argument("--target-hr", default=None)
-    if with_tau:
-        sub.add_argument("--tau", type=_positive(float, "--tau"), default=None)
+    sub.add_argument("--target-hr", default=target_hr)
+    sub.add_argument("--tau", type=_positive(float, "--tau"), default=None)
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     sub.add_argument("--out", default=None)
 
@@ -154,7 +158,7 @@ def parse_args(argv):
     cal.add_argument("--out", default=None)
 
     sim = commands.add_parser("simulate", help="run the Monte Carlo study")
-    _add_common(sim)
+    _add_common(sim, target_hr="1.5,2,2.5,3")
     sim.add_argument("--reps", type=_positive(int, "--reps"), default=1_000)
     sim.add_argument("--format", choices=["csv", "md", "json"], default="csv")
     sim.add_argument("--recalibrate", action="store_true")
@@ -162,7 +166,9 @@ def parse_args(argv):
                      default=DEFAULT_ORACLE_N)
 
     gen = commands.add_parser("generate", help="dump one raw cohort as CSV")
-    _add_common(gen)
+    _add_common(gen, target_hr="1.5")
+    gen.set_defaults(reps=0, format="csv", recalibrate=False,
+                     oracle_n=DEFAULT_ORACLE_N)
 
     args = parser.parse_args(argv)
 
@@ -179,35 +185,25 @@ def parse_args(argv):
 
     if args.tau is not None and args.scenario is None:
         parser.error("--tau requires an explicit --scenario")
-    scenario = SCENARIO_BY_NAME[args.scenario or "independent"]
-    if args.target_hr is None:
-        targets = (1.5,) if args.command == "generate" else (1.5, 2.0, 2.5, 3.0)
-    else:
-        targets = _parse_targets(args.target_hr, parser)
+    targets = _parse_targets(args.target_hr, parser)
     if args.command == "generate" and len(targets) != 1:
         parser.error("generate takes exactly one --target-hr value")
-
-    manifest = RunManifest(
+    return RunManifest(
         command=args.command,
-        scenario=scenario,
+        scenario=SCENARIO_BY_NAME[args.scenario or "independent"],
         n_subjects=args.n,
         alpha0=ALPHA0_BY_PREVALENCE[args.prevalence],
         gamma0=GAMMA0_BY_PREVALENCE[args.prevalence],
         tau=args.tau,
         prevalence=args.prevalence,
         target_hrs=targets,
+        n_reps=args.reps,
         master_seed=args.seed,
+        output_format=args.format,
         output_path=args.out,
+        recalibrate=args.recalibrate,
+        oracle_n=args.oracle_n,
     )
-    if args.command == "simulate":
-        manifest.n_reps = args.reps
-        manifest.output_format = args.format
-        manifest.recalibrate = args.recalibrate
-        manifest.oracle_n = args.oracle_n
-    else:
-        manifest.n_reps = 0
-        manifest.output_format = "csv"
-    return manifest
 
 
 def _fmt(value):
@@ -251,85 +247,74 @@ def _output(path):
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _rows_to_csv(rows, columns, manifest, notes=()):
-    lines = _manifest_lines(manifest, "#")
-    lines.extend(f"# {note}" for note in notes)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _render(rows, output_format, path, manifest, columns, md_header, md_cells,
+            notes=(), footnote=None):
+    """Write rows as CSV (the given columns), markdown or JSON (every key).
+
+    CSV puts the notes under the manifest as `#` lines; markdown puts
+    the footnote under the table; JSON prints non-finite floats as null.
+    """
+    if output_format == "csv":
+        lines = _manifest_lines(manifest, "#")
+        lines.extend(f"# {note}" for note in notes)
+        lines.append(",".join(columns))
+        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+    elif output_format == "md":
+        lines = _manifest_lines(manifest, ">")
+        lines.append("")
+        table = [md_header, ["---"] * len(md_header), *map(md_cells, rows)]
+        lines.extend("| " + " | ".join(cells) + " |" for cells in table)
+        if footnote is not None:
+            lines.extend(["", footnote])
+    elif output_format == "json":
+        payload = {
+            "package": f"recurweight {__version__}",
+            "manifest": {
+                k: (list(v) if isinstance(v, tuple) else v)
+                for k, v in _manifest_items(manifest).items()
+            },
+            "rows": [
+                {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
+                 for k, v in row.items()}
+                for row in rows
+            ],
+        }
+        lines = [json.dumps(payload, indent=2)]
+    else:
+        raise ValueError(f"unknown format {output_format!r}")
+    with _output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _rows_to_json(rows, manifest, extra=()):
-    payload = {
-        "package": f"recurweight {__version__}",
-        "manifest": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in _manifest_items(manifest).items()
-        },
-        "rows": [dict(r) for r in rows],
-    }
-    for row in payload["rows"]:
-        for key in list(row):
-            if isinstance(row[key], float) and not np.isfinite(row[key]):
-                row[key] = None
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _md_table(header, body_rows):
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    for row in body_rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+def _summary_md_cells(r):
+    if r["bias_is_absolute"]:
+        bias = f"{r['bias_pct']:.4f}*"
+    else:
+        bias = f"{r['bias_pct']:.2f}%"
+    return [
+        str(r["event"]),
+        _fmt(r["true_log_hr"]), _fmt(r["true_hr"]),
+        _fmt(r["est_log_hr"]), _fmt(r["est_hr"]),
+        bias, _fmt(r["ase"]), _fmt(r["ese"]), _fmt(r["rse"]),
+    ]
 
 
 def emit_table(rows, output_format, path, manifest):
     """Write summary rows in the pinned schema; see module docstring."""
     if not rows:
         raise ValueError("no rows to emit")
-    if output_format == "csv":
-        notes = ["rows: per target, event-1 row precedes event-2 row"]
-        if any(r["bias_is_absolute"] for r in rows):
-            notes.append(
-                "rows with true_log_hr 0.0000 report absolute log-HR bias "
-                "in bias_pct"
-            )
-        text = _rows_to_csv(
-            [{c: r[c] for c in SUMMARY_COLUMNS} for r in rows],
-            SUMMARY_COLUMNS,
-            manifest,
-            notes,
+    notes = ["rows: per target, event-1 row precedes event-2 row"]
+    footnote = None
+    if any(r["bias_is_absolute"] for r in rows):
+        notes.append(
+            "rows with true_log_hr 0.0000 report absolute log-HR bias "
+            "in bias_pct"
         )
-    elif output_format == "json":
-        text = _rows_to_json(rows, manifest)
-    elif output_format == "md":
-        header = ["Event", "True log HR", "True HR", "Est log HR", "Est HR",
-                  "Bias", "ASE", "ESE", "RSE"]
-        body = []
-        flagged = False
-        for r in rows:
-            if r["bias_is_absolute"]:
-                bias, flagged = f"{r['bias_pct']:.4f}*", True
-            else:
-                bias = f"{r['bias_pct']:.2f}%"
-            body.append([
-                str(r["event"]),
-                _fmt(r["true_log_hr"]), _fmt(r["true_hr"]),
-                _fmt(r["est_log_hr"]), _fmt(r["est_hr"]),
-                bias, _fmt(r["ase"]), _fmt(r["ese"]), _fmt(r["rse"]),
-            ])
-        lines = _manifest_lines(manifest, ">")
-        lines.append("")
-        lines.extend(_md_table(header, body))
-        if flagged:
-            lines.append("")
-            lines.append("\\* absolute log-HR bias (null true effect)")
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValueError(f"unknown format {output_format!r}")
-    with _output(path) as fh:
-        fh.write(text)
+        footnote = "\\* absolute log-HR bias (null true effect)"
+    header = ["Event", "True log HR", "True HR", "Est log HR", "Est HR",
+              "Bias", "ASE", "ESE", "RSE"]
+    _render(rows, output_format, path, manifest, SUMMARY_COLUMNS,
+            header, _summary_md_cells, notes, footnote)
 
 
 def emit_calibration(entries, target_hrs, output_format, path, manifest):
@@ -346,28 +331,13 @@ def emit_calibration(entries, target_hrs, output_format, path, manifest):
             "oracle_n": entry.oracle_n,
             "tolerance": entry.tolerance,
         })
-    if output_format == "csv":
-        text = _rows_to_csv(
-            [{c: r[c] for c in CALIBRATION_COLUMNS} for r in rows],
-            CALIBRATION_COLUMNS,
-            manifest,
-        )
-    elif output_format == "json":
-        text = _rows_to_json(rows, manifest)
-    else:
-        header = ["True log marginal HR", "True HR", "True log conditional HR",
-                  "True log marginal HR (event 2)", "True HR (event 2)"]
-        body = [
-            [_fmt(r["beta_m1"]), f"{r['hr1']:g}", _fmt(r["beta_c"]),
-             _fmt(r["beta_m2"]), _fmt(r["hr2"])]
-            for r in rows
-        ]
-        lines = _manifest_lines(manifest, ">")
-        lines.append("")
-        lines.extend(_md_table(header, body))
-        text = "\n".join(lines) + "\n"
-    with _output(path) as fh:
-        fh.write(text)
+    header = ["True log marginal HR", "True HR", "True log conditional HR",
+              "True log marginal HR (event 2)", "True HR (event 2)"]
+    _render(
+        rows, output_format, path, manifest, CALIBRATION_COLUMNS, header,
+        lambda r: [_fmt(r["beta_m1"]), f"{r['hr1']:g}", _fmt(r["beta_c"]),
+                   _fmt(r["beta_m2"]), _fmt(r["hr2"])],
+    )
 
 
 def _resolve_entry(hr, manifest):

@@ -159,6 +159,22 @@ def _arm_sums(rs):
     return _ArmSums(w, a0, a1, float(np.sum(wz)), rows)
 
 
+def _has_finite_maximum(rs, arms):
+    """Whether the likelihood has a finite maximum, exactly.
+
+    A treated event's term rises in beta only while control weight is
+    at risk, and a control event's term falls only while treated weight
+    is; without both, the likelihood is monotone. The arm sums only
+    shrink over time, so each arm's first event decides.
+    """
+    z = rs.z if arms.rows is None else rs.z[arms.rows]
+    if not len(z):
+        return False
+    treated, control = np.argmax(z), np.argmin(z)  # first event of each
+    return (z[treated] == 1.0 and arms.a0[treated] > 0.0
+            and z[control] == 0.0 and arms.a1[control] > 0.0)
+
+
 def _risk_sums(beta, arms):
     s1 = np.exp(beta) * arms.a1
     return arms.a0 + s1, s1
@@ -200,16 +216,20 @@ def fit_weighted_cox(sample, robust=True):
     robust=False skips the sandwich variance and reports robust_se as
     nan; log_hr, naive_se and n_iter do not depend on it.
 
-    Raises MonotoneLikelihoodError if either treatment arm has no
-    weighted event, or the iterate escapes |beta| > 20. Raises
+    Raises MonotoneLikelihoodError when the likelihood has no finite
+    maximum (no treated event with control weight at risk, or no
+    control event with treated weight at risk), or when the iterate
+    escapes |beta| > 20. Raises
     CoxConvergenceError at the 50-iteration cap, or when step-halving
     leaves a drop beyond rounding away from convergence.
     """
     rs = _sorted_arrays(sample)
-    n_treated = np.count_nonzero(rs.d * rs.z)
-    if not 0 < n_treated < np.count_nonzero(rs.d):
-        raise MonotoneLikelihoodError("need a weighted event in each arm")
     arms = _arm_sums(rs)
+    if not _has_finite_maximum(rs, arms):
+        raise MonotoneLikelihoodError(
+            "no finite maximum: need an event in each arm "
+            "with the other arm at risk"
+        )
     w = arms.w
 
     beta = 0.0

@@ -1,4 +1,4 @@
-"""Stabilized weight construction for treatment and censoring.
+"""Stabilized treatment weights.
 
 Treatment weights follow the usual stabilization recipe: marginal
 assignment probabilities in the numerator, fitted propensities in the
@@ -15,13 +15,6 @@ only seen for subjects whose first event was observed, so the second
 propensity model and the joint table are fit on the delta1 = 1 rows
 and predictions extended to everyone. Baseline columns are complete,
 so the first model always uses the full sample.
-
-Censoring weights mirror the construction with completion indicators
-in place of treatments: empirical completion rates over fitted
-logistic completion probabilities, the second factor conditional on
-the first event being observed. Rows whose weight is undefined
-(censored before the relevant event) get weight zero, which keeps
-vector shapes uniform and drops them from any weighted fit.
 """
 
 from dataclasses import dataclass
@@ -55,27 +48,6 @@ class TreatmentWeights:
             raise ValueError("p_joint must be a nonnegative 2x2 table")
         if abs(self.p_joint.sum() - 1.0) > 1e-12:
             raise ValueError("p_joint must sum to 1")
-
-
-@dataclass
-class CensoringWeights:
-    """Per-subject censoring weights; zero where the row is unusable.
-
-    sw1_dag is nonzero only on delta1 = 1 rows, sw2_dag only on
-    delta2 = 1 rows.
-    """
-
-    sw1_dag: np.ndarray
-    sw2_dag: np.ndarray
-
-    def __post_init__(self):
-        self.sw1_dag = np.asarray(self.sw1_dag, dtype=float)
-        self.sw2_dag = np.asarray(self.sw2_dag, dtype=float)
-        for w in (self.sw1_dag, self.sw2_dag):
-            if not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite")
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
 
 
 def _check_probability(p, name):
@@ -175,69 +147,3 @@ def build_treatment_weights(dataset, scenario):
         p_joint,
     )
     return TreatmentWeights(sw1, sw2, p1, p_joint)
-
-
-def build_censoring_weights(dataset, tau):
-    """Stabilized censoring weights from completion-probability models.
-
-    sw1_dag = delta1 * P(delta1=1) / P(delta1=1 | x1, z1)
-    sw2_dag = delta2 * sw1_dag_ratio * P(delta2=1 | delta1=1) / P(delta2=1 | history)
-
-    with the second model fit over delta1 = 1 rows on the full observed
-    history (x1, x2, z1, z2). A factor whose indicator never drops is
-    replaced by exact ones rather than fit (constant response).
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    delta1 = np.asarray(dataset["delta1"], dtype=bool)
-    delta2 = np.asarray(dataset["delta2"], dtype=bool)
-    expected1 = np.asarray(dataset["w1"] <= tau)
-    expected2 = np.asarray(dataset["w1"] + dataset["w2"] <= tau)
-    if not (np.array_equal(delta1, expected1) and np.array_equal(delta2, expected2)):
-        raise ValueError("censoring indicators do not match tau")
-    if not delta1.any():
-        raise ValueError("every subject is censored before the first event")
-
-    n = len(dataset)
-    if delta2.all():
-        ones = np.ones(n)
-        return CensoringWeights(ones, ones.copy())
-
-    x1 = np.asarray(dataset["x1"], dtype=float)
-    z1 = np.asarray(dataset["z1"], dtype=float)
-
-    if delta1.all():
-        ratio1 = np.ones(n)
-    else:
-        fit1 = _converged_fit(
-            np.column_stack([np.ones(n), x1, z1]),
-            delta1.astype(float),
-            "first censoring",
-        )
-        ratio1 = delta1.mean() / fit1.fitted_probabilities
-
-    obs = delta1
-    d2_obs = delta2[obs].astype(float)
-    if delta2[obs].all():
-        ratio2 = np.ones(n)
-    else:
-        x2 = np.asarray(dataset["x2"], dtype=float)
-        z2 = np.asarray(dataset["z2"], dtype=float)
-        # fixed-treatment scenarios repeat baseline columns; keep the
-        # design full rank by skipping exact duplicates
-        columns = [np.ones(n), x1]
-        if not np.array_equal(x2, x1):
-            columns.append(x2)
-        columns.append(z1)
-        if not np.array_equal(z2, z1):
-            columns.append(z2)
-        design2 = np.column_stack(columns)
-        fit2 = _converged_fit(design2[obs], d2_obs, "second censoring")
-        # only delta2 = 1 rows carry this factor; evaluating elsewhere
-        # risks saturated predictions on rows that never use it
-        ratio2 = np.ones(n)
-        ratio2[delta2] = d2_obs.mean() / expit(design2[delta2] @ fit2.coefficients)
-
-    sw1_dag = np.where(delta1, ratio1, 0.0)
-    sw2_dag = np.where(delta2, ratio1 * ratio2, 0.0)
-    return CensoringWeights(sw1_dag, sw2_dag)

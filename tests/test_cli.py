@@ -5,11 +5,11 @@ the pinned output schemas, provenance embedding, and exit codes.
 """
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-
-from dataclasses import fields
 
 from recurweight.calibrate import lookup_calibration
 from recurweight.cli import (
@@ -305,3 +305,82 @@ def test_emit_table_json_roundtrip(tmp_path):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+# hand-written rows; the golden files hold the bytes each emitter wrote
+# for them before the emitters shared one renderer
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _summary_row(event, log_hrs, hrs, bias_pct, absolute, **extra):
+    # log_hrs and hrs are (true, estimated) pairs
+    row = {
+        "event": event, "scenario": 2, "prevalence": 0.25, "tau": None,
+        "true_log_hr": log_hrs[0], "true_hr": hrs[0],
+        "est_log_hr": log_hrs[1], "est_hr": hrs[1], "bias_pct": bias_pct,
+        "ase": 0.0456, "ese": 0.04321, "rse": 1.0553, "n": 600, "reps": 20,
+        "seed": 5, "failed": 0, "bias_is_absolute": absolute,
+        "ese_centered": 0.0431,
+    }
+    row.update(extra)
+    return row
+
+
+def _emit_summary_null(fmt, path):
+    manifest = parse_args(
+        "simulate --scenario tv-covariates --target-hr 1,1.5 --n 600 "
+        "--reps 20 --seed 5".split()
+    )
+    manifest.beta_c_values = (0.0, 0.4599)
+    rows = [
+        _summary_row(1, (0.0, 0.0123), (1.0, 1.0124), 0.0123, True),
+        _summary_row(2, (0.0, -0.0071), (1.0, 0.9929), -0.0071, True, failed=1),
+        _summary_row(1, (0.4055, 0.41), (1.5, 1.5068), 1.1097, False),
+        _summary_row(2, (0.2085, 0.2), (1.2318, 1.2214), -4.0767, False),
+    ]
+    emit_table(rows, fmt, path, manifest)
+
+
+def _emit_summary(fmt, path):
+    manifest = parse_args(
+        "simulate --scenario tv-treatment --tau 0.5 --prevalence 0.5 "
+        "--target-hr 2 --n 800 --reps 10 --seed 11".split()
+    )
+    manifest.beta_c_values = (0.783,)
+    common = {"scenario": 3, "prevalence": 0.5, "tau": 0.5, "n": 800,
+              "reps": 10, "seed": 11}
+    rows = [
+        _summary_row(1, (0.6931, 0.7012), (2.0, 2.0162), 1.1687, False, **common),
+        _summary_row(2, (0.3551, 0.3333), (1.4263, 1.3955), -6.139, False,
+                     rse=float("nan"), ese=float("inf"), **common),
+    ]
+    emit_table(rows, fmt, path, manifest)
+
+
+def _emit_calibration(fmt, path):
+    manifest = parse_args("calibrate --targets 1,1.5,2".split())
+    entries = [lookup_calibration(hr) for hr in manifest.target_hrs]
+    manifest.beta_c_values = tuple(e.beta_c for e in entries)
+    emit_calibration(entries, manifest.target_hrs, fmt, path, manifest)
+
+
+LAYOUTS = {
+    "summary_null": _emit_summary_null,
+    "summary": _emit_summary,
+    "calibration": _emit_calibration,
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+@pytest.mark.parametrize("case", sorted(LAYOUTS))
+def test_emitted_layout_is_pinned(case, fmt, tmp_path):
+    out = tmp_path / f"{case}.{fmt}"
+    LAYOUTS[case](fmt, str(out))
+    assert out.read_bytes() == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+def test_emit_calibration_rejects_unknown_format(tmp_path):
+    m = parse_args("calibrate --targets 2".split())
+    with pytest.raises(ValueError):
+        emit_calibration([lookup_calibration(2.0)], (2.0,), "xml",
+                         str(tmp_path / "cal.xml"), m)

@@ -127,6 +127,19 @@ class TestFitWeightedCox:
         with pytest.raises(MonotoneLikelihoodError):
             fit_weighted_cox(s)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.25])
+    def test_flat_tail_rejected(self, scale):
+        # the one treated event is alone at risk, so the likelihood rises
+        # forever as beta -> -inf; an absolute score tolerance is met on
+        # the flat tail (log HR -19.23, or -18.23 at weights x 0.25)
+        # before the iterate escapes |beta| > 20
+        s = make_sample(
+            [2.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1, 0, 0, 0, 0, 1],
+            [1, 0, 0, 0, 0, 0], scale * np.array([1.0, 1, 1, 1, 3, 0.5]),
+        )
+        with pytest.raises(MonotoneLikelihoodError):
+            fit_weighted_cox(s)
+
     def test_grid_search_agreement(self):
         rng = RngStream(77)
         grid = np.arange(-5.0, 5.0 + 1e-9, 1e-4)

@@ -2,8 +2,9 @@
 
 Each property rebuilds a small sample in a way that leaves the weighted
 partial likelihood unchanged (or scales it) and compares the point
-estimate and the naive standard error of the two fits. Times come from
-a coarse grid so that Breslow ties are common.
+estimate and the naive standard error of the two fits; the last checks
+the sandwich against numerical derivatives of the score. Times come
+from a coarse grid so that Breslow ties are common.
 """
 
 import numpy as np
@@ -46,8 +47,9 @@ def fit(columns):
 
 def fit_or_reject(columns):
     # samples without an interior maximum are outside every property;
-    # on a nearly flat likelihood tail the absolute score tolerance, not
-    # a maximum, ends the fit, so far-out estimates are rejected as well
+    # far out the likelihood is so flat that the absolute score
+    # tolerance, not the maximum, ends the fit, so far-out estimates
+    # are rejected as well
     try:
         result = fit(columns)
     except (MonotoneLikelihoodError, CoxConvergenceError):
@@ -106,3 +108,44 @@ def test_zero_weight_row_equals_dropping_it(columns, data):
     }
     padded = fit({k: np.insert(v, at, extra[k]) for k, v in columns.items()})
     assert padded == base
+
+
+def brute_score(beta, time, event, z, w):
+    """The weighted score by its definition: row i's risk set is every
+    row with time >= time[i], ties included (Breslow)."""
+    risk = (time[None, :] >= time[:, None]) * (w * np.exp(beta * z))
+    return np.sum(event * w * (z - risk @ z / risk.sum(axis=1)))
+
+
+@PROPERTY
+@given(rows(), st.data())
+def test_sandwich_residuals_are_weight_derivatives_of_the_score(columns, data):
+    # s_i = w_i dU/dw_i at the fitted beta, so the meat sum_g s_g^2 and
+    # the information can both be rebuilt by central differences
+    n = len(columns["time"])
+    clusters = np.array(data.draw(st.lists(st.integers(0, n // 2),
+                                           min_size=n, max_size=n)))
+    columns = {**columns, "cluster": clusters}
+    result = fit_or_reject(columns)
+    beta = result.log_hr
+    time, event, z, w = (
+        columns[k] for k in ("time", "event", "treatment", "weight")
+    )
+    eps = 1e-6
+    resid = np.empty(n)
+    for i in range(n):
+        up, down = w.copy(), w.copy()
+        up[i] += eps
+        down[i] -= eps
+        resid[i] = w[i] * (
+            brute_score(beta, time, event, z, up)
+            - brute_score(beta, time, event, z, down)
+        ) / (2 * eps)
+    info = -(
+        brute_score(beta + eps, time, event, z, w)
+        - brute_score(beta - eps, time, event, z, w)
+    ) / (2 * eps)
+    root_meat = np.sqrt(np.sum(np.bincount(clusters, weights=resid) ** 2))
+    # compared as sqrt(meat): where the cluster sums cancel to nearly
+    # zero, the differencing error (< 1e-7 there) needs an absolute floor
+    assert result.robust_se * info == pytest.approx(root_meat, rel=1e-6, abs=1e-6)
