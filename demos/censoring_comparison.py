@@ -157,7 +157,6 @@ def one_replicate(tau, rep):
     ds = gen_dataset(cfg, RngStream(SEED, rep))
     wts = build_treatment_weights(ds, cfg.scenario)
     cwts = build_censoring_weights(ds, tau)
-    subjects = np.arange(N)
     z2 = ds["z2"].astype(float)
 
     out = {}
@@ -169,7 +168,6 @@ def one_replicate(tau, rep):
         event=ds["delta2"][obs].astype(float),
         treatment=z2[obs],
         weight=wts.sw2[obs],
-        cluster=subjects[obs],
     )
 
     # complete-case: fully observed second gaps only
@@ -179,7 +177,6 @@ def one_replicate(tau, rep):
         event=np.ones(cc.sum()),
         treatment=z2[cc],
         weight=wts.sw2[cc],
-        cluster=subjects[cc],
     )
 
     # complete-case with inverse-of-censoring ratio weights folded in
@@ -190,7 +187,6 @@ def one_replicate(tau, rep):
         event=np.ones(N),
         treatment=z2,
         weight=wts.sw2 * cwts.sw2_dag,
-        cluster=subjects,
     )
     return out
 

@@ -61,14 +61,13 @@ def main():
     # ----------------------------------------------------------------
     # weighted fits: naive vs sandwich standard errors
     # ----------------------------------------------------------------
-    subjects = np.arange(N)
     fits = {
         1: fit_weighted_cox(SurvivalSample(
             time=ds["w1"], event=np.ones(N), treatment=ds["z1"].astype(float),
-            weight=wts.sw1, cluster=subjects)),
+            weight=wts.sw1)),
         2: fit_weighted_cox(SurvivalSample(
             time=ds["w2"], event=np.ones(N), treatment=ds["z2"].astype(float),
-            weight=wts.sw2, cluster=subjects)),
+            weight=wts.sw2)),
     }
     truth = {1: 0.4055, 2: 0.2085}  # marginal log hrs this beta_c was solved for
     for event, fit in fits.items():

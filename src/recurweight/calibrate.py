@@ -113,7 +113,6 @@ def _census_log_hr(control, beta_c):
         event=np.ones(2 * n),
         treatment=np.concatenate([np.ones(n), np.zeros(n)]),
         weight=np.ones(2 * n),
-        cluster=np.tile(np.arange(n), 2),
     )
     return fit_weighted_cox(sample, robust=False).log_hr
 

@@ -113,8 +113,10 @@ def _parse_targets(text, parser):
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         parser.error(f"cannot parse target list {text!r}")
-    if not values or any(v < 1.0 for v in values):
+    if any(v < 1.0 for v in values):
         parser.error("target hazard ratios must be >= 1")
+    if not np.all(np.isfinite(values)):
+        parser.error("target hazard ratios must be finite")
     return values
 
 

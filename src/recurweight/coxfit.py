@@ -2,11 +2,12 @@
 
 The model is h(t | z) = h0(t) exp(beta z) with per-row case weights
 entering both the event terms and the risk-set sums of the partial
-likelihood (Breslow convention for ties). Two variances are provided:
-the naive inverse observed information, and the sandwich built from
-cluster-summed score residuals, which stays valid when weighting makes
-rows of one subject correlated. The sandwich is skipped when the
-caller needs only the point estimate.
+likelihood (Breslow convention for ties). Every row is one subject.
+Two variances are provided: the naive inverse observed information,
+and the robust sandwich built from per-row score residuals (Lin & Wei
+1989), which stays valid under case weights, where the naive variance
+does not. The sandwich is skipped when the caller needs only the
+point estimate.
 
 Because z is binary, every risk-set sum factors through two sums that
 do not depend on beta (Therneau & Grambsch 2000, Modeling Survival
@@ -34,30 +35,28 @@ class CoxConvergenceError(RuntimeError):
 
 @dataclass
 class SurvivalSample:
-    """Rows for one Cox fit.
+    """Rows for one Cox fit, one row per subject.
 
     time : finite, strictly positive gap times.
     event : 1 for an observed event, 0 for a censored row.
     treatment : binary z, 0 or 1.
     weight : nonnegative case weights (stabilized weights in practice).
-    cluster : subject ids; rows sharing an id form one cluster for the
-        robust variance. Per-event fits use singleton clusters.
+
+    The robust variance treats the rows as independent subjects.
     """
 
     time: np.ndarray
     event: np.ndarray
     treatment: np.ndarray
     weight: np.ndarray
-    cluster: np.ndarray
 
     def __post_init__(self):
         self.time = np.asarray(self.time, dtype=float)
         self.event = np.asarray(self.event, dtype=float)
         self.treatment = np.asarray(self.treatment, dtype=float)
         self.weight = np.asarray(self.weight, dtype=float)
-        self.cluster = np.asarray(self.cluster)
         n = self.time.shape[0]
-        for name in ("event", "treatment", "weight", "cluster"):
+        for name in ("event", "treatment", "weight"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} length does not match time")
         if not np.all(np.isfinite(self.time) & (self.time > 0.0)):
@@ -93,13 +92,12 @@ _LOGLIK_RTOL = 1e-10
 class _RiskSets(NamedTuple):
     """The positive-weight rows of a sample, sorted by time.
 
-    keep indexes those rows in the sample and perm puts them in time
-    order; t, d, z, w are the sorted columns. first[j] is the first
-    row tied with row j, so row j's risk set is the suffix from there;
-    first is None when no times tie, since it would be the identity.
+    perm puts those rows, taken in sample order, in time order; t, d,
+    z, w are the sorted columns. first[j] is the first row tied with
+    row j, so row j's risk set is the suffix from there; first is None
+    when no times tie, since it would be the identity.
     """
 
-    keep: np.ndarray
     perm: np.ndarray
     t: np.ndarray
     d: np.ndarray
@@ -136,7 +134,7 @@ def _sorted_arrays(sample):
     if np.any(t[1:] == t[:-1]):
         first = np.searchsorted(t, t, side="left")
     return _RiskSets(
-        keep, perm, t, sample.event[order], sample.treatment[order],
+        perm, t, sample.event[order], sample.treatment[order],
         sample.weight[order], first,
     )
 
@@ -277,7 +275,7 @@ def fit_weighted_cox(sample, robust=True):
     naive_se = 1.0 / np.sqrt(info)
     if robust:
         robust_se = float(np.sqrt(
-            robust_variance(sample, beta, _fitted=(rs, arms, s0, s1))
+            robust_variance(rs, arms, beta, s0, m, info)
         ))
     else:
         robust_se = float("nan")
@@ -290,32 +288,20 @@ def fit_weighted_cox(sample, robust=True):
     )
 
 
-def robust_variance(sample, log_hr, *, _fitted=None):
-    """Sandwich variance I^-1 (sum_g s_g^2) I^-1 at the fitted log_hr.
+def robust_variance(rs, arms, beta, s0, m, info):
+    """Sandwich variance I^-1 (sum_i s_i^2) I^-1 at the fitted beta.
 
-    s_g sums the weighted score residuals of cluster g:
+    fit_weighted_cox's last step: rs and arms are its sorted rows and
+    arm sums, s0 and m = S1/S0 the risk sums at beta at the event
+    rows, and info the information there. Each row is one subject,
+    with the weighted score residual
 
         s_i = w_i [ d_i (z_i - m(t_i)) - e^{beta z_i} (z_i A(t_i) - B(t_i)) ]
 
-    with m = S1/S0, A(t) = sum_{event times u <= t} w d / S0(u) and
-    B(t) the same sum of w d m / S0(u). Each s_i equals w_i times the
-    derivative of the total score with respect to w_i.
-
-    _fitted is fit_weighted_cox's (sorted rows, arm sums, S0, S1 at
-    log_hr), so the fit's sandwich neither re-sorts nor recomputes the
-    risk sums.
+    where A(t) = sum_{event times u <= t} w d / S0(u) and B(t) is the
+    same sum of w d m / S0(u). Each s_i equals w_i times the derivative
+    of the total score with respect to w_i.
     """
-    beta = float(log_hr)
-    if _fitted is None:
-        rs = _sorted_arrays(sample)
-        arms = _arm_sums(rs)
-        s0, s1 = _risk_sums(beta, arms)
-    else:
-        rs, arms, s0, s1 = _fitted
-    m = s1 / s0
-    info = np.sum(arms.w * (m - m * m))
-    if info <= 0.0:
-        raise MonotoneLikelihoodError("singular information in sandwich")
     t, d, z, w = rs.t, rs.d, rs.z, rs.w
     jump = arms.w / s0
     if arms.rows is not None:
@@ -330,9 +316,9 @@ def robust_variance(sample, log_hr, *, _fitted=None):
         a, b = a[last], b[last]
     resid = w * (d * (z - m) - np.exp(beta * z) * (z * a - b))
 
-    # clusters numbered in sorted label order, taken in time order;
-    # labelling the kept rows in sample order spares a sort of permuted ids
-    _, inverse = np.unique(sample.cluster[rs.keep], return_inverse=True)
-    cluster_sums = np.bincount(inverse[rs.perm], weights=resid)
-    meat = np.sum(cluster_sums * cluster_sums)
+    # the meat is summed over subjects in sample order; summing in
+    # time order would move robust_se in its last bit
+    by_subject = np.empty_like(resid)
+    by_subject[rs.perm] = resid
+    meat = np.sum(by_subject * by_subject)
     return float(meat / (info * info))

@@ -81,16 +81,8 @@ def _derived_seed(master_seed, replicate_index):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _fit(time, event, treatment, weight, cluster):
-    return fit_weighted_cox(
-        SurvivalSample(
-            time=np.asarray(time, dtype=float),
-            event=np.asarray(event, dtype=float),
-            treatment=np.asarray(treatment, dtype=float),
-            weight=np.asarray(weight, dtype=float),
-            cluster=cluster,
-        )
-    )
+def _fit(time, event, treatment, weight):
+    return fit_weighted_cox(SurvivalSample(time, event, treatment, weight))
 
 
 def run_replicate(config, master_seed, replicate_index=0):
@@ -112,7 +104,6 @@ def _run_replicate_inner(config, master_seed, replicate_index, seed_id):
     ds = gen_dataset(config, RngStream(master_seed, replicate_index))
     tw = build_treatment_weights(ds, config.scenario)
     n = len(ds)
-    subjects = np.arange(n)
 
     diagnostics = {
         "prevalence_z1": float(ds["z1"].mean()),
@@ -124,8 +115,8 @@ def _run_replicate_inner(config, master_seed, replicate_index, seed_id):
     }
 
     if config.tau is None:
-        fit1 = _fit(ds["w1"], np.ones(n), ds["z1"], tw.sw1, subjects)
-        fit2 = _fit(ds["w2"], np.ones(n), ds["z2"], tw.sw2, subjects)
+        fit1 = _fit(ds["w1"], np.ones(n), ds["z1"], tw.sw1)
+        fit2 = _fit(ds["w2"], np.ones(n), ds["z2"], tw.sw2)
     else:
         diagnostics["censored_frac_event1"] = float(1.0 - ds["delta1"].mean())
         diagnostics["censored_frac_event2"] = float(1.0 - ds["delta2"].mean())
@@ -136,7 +127,6 @@ def _run_replicate_inner(config, master_seed, replicate_index, seed_id):
             ds["delta1"],
             ds["z1"],
             tw.sw1,
-            subjects,
         )
         at_risk = ds["delta1"] == 1
         sub = ds[at_risk]
@@ -145,7 +135,6 @@ def _run_replicate_inner(config, master_seed, replicate_index, seed_id):
             sub["delta2"],
             sub["z2"],
             tw.sw2[at_risk],
-            subjects[at_risk],
         )
 
     return ReplicateResult(

@@ -10,7 +10,6 @@ fitting is a pure function of its inputs.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit as _expit
 
 
 class SeparationError(RuntimeError):
@@ -20,10 +19,11 @@ class SeparationError(RuntimeError):
 def expit(x):
     """Numerically stable inverse logit, 1 / (1 + exp(-x)).
 
-    Accepts scalars or arrays; saturates smoothly at extreme inputs
-    instead of overflowing.
+    Accepts scalars or arrays; saturates to 0 or 1 at extreme inputs,
+    where exp(-x) overflows to inf without a warning.
     """
-    return _expit(x)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -124,7 +124,7 @@ def fit_logistic(design, response):
     converged = False
     it = 0
     for it in range(1, _IRLS_MAX_ITER + 1):
-        prob = _expit(X @ beta)
+        prob = expit(X @ beta)
         wls = prob * (1.0 - prob)
         info = X.T @ (X * wls[:, None])
         score = X.T @ (y - prob)
@@ -142,5 +142,5 @@ def fit_logistic(design, response):
         coefficients=beta,
         converged=converged,
         n_iter=it,
-        fitted_probabilities=_expit(X @ beta),
+        fitted_probabilities=expit(X @ beta),
     )

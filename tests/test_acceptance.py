@@ -149,7 +149,6 @@ class TestEstimatorOracles:
                 event=np.ones(n),
                 treatment=z,
                 weight=0.5 + 1.5 * draw_uniform(rng, n),
-                cluster=np.arange(n),
             )
             try:
                 fit = fit_weighted_cox(s)
@@ -172,7 +171,6 @@ class TestEstimatorOracles:
             event=np.ones(3),
             treatment=np.array([1.0, 0.0, 1.0]),
             weight=np.ones(3),
-            cluster=np.arange(3),
         )
         npt.assert_allclose(
             fit_weighted_cox(s).log_hr, -0.5 * np.log(2.0), atol=1e-4

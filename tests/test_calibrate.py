@@ -148,7 +148,6 @@ def test_census_oracle_matches_fresh_potential_outcomes(event):
         event=np.ones(2 * n),
         treatment=np.concatenate([np.ones(n), np.zeros(n)]),
         weight=np.ones(2 * n),
-        cluster=np.tile(np.arange(n), 2),
     )
     direct = fit_weighted_cox(sample).log_hr
     assert abs(marginal_hr_oracle(beta_c, event, oracle_n=n) - direct) <= 1e-6

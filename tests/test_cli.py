@@ -5,12 +5,16 @@ the pinned output schemas, provenance embedding, and exit codes.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recurweight
 from recurweight.calibrate import lookup_calibration
 from recurweight.cli import (
     CALIBRATION_COLUMNS,
@@ -60,7 +64,19 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["simulate", "--prevalence", "0.3"]) == 2
     assert run_cli(["generate", "--target-hr", "1.5,2"]) == 2
     assert run_cli(["simulate", "--target-hr", "0.8"]) == 2
+    assert run_cli(["calibrate", "--targets", "nan"]) == 2
+    assert run_cli(["generate", "--target-hr", "inf"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests
+    src = str(Path(recurweight.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, recurweight.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_simulate_csv_schema(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,8 +25,13 @@ class TestExpit:
         npt.assert_allclose(expit(-1.1392), 0.24246, atol=1e-4)
 
     def test_saturation(self):
-        assert abs(expit(700.0) - 1.0) < 1e-300
-        assert expit(-700.0) > 0.0
+        # exp overflows past |x| ~ 709; the result saturates silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(expit(700.0) - 1.0) < 1e-300
+            assert expit(-700.0) > 0.0
+            assert expit(-800.0) == 0.0
+            assert expit(800.0) == 1.0
 
     def test_vectorized(self):
         x = np.array([-2.0, 0.0, 3.0])
