@@ -2,21 +2,24 @@
 
 Hazard ratios do not collapse over covariates: the conditional log HR
 beta_c put into the generator is not the population-level marginal log
-HR an unconfounded analysis recovers. The mapping has no closed form,
-so we measure it on a large synthetic population of potential outcomes
-(both arms per subject, common draws) and solve for the beta_c whose
-induced marginal effect hits a requested target.
+HR an unconfounded analysis recovers. The marginal value is the limit
+of an unweighted Cox fit on both forced arms of an unbounded
+potential-outcome population, half of the rows treated. Under this
+misspecified model the fit converges to the root of the limiting
+score (Struthers & Kalbfleisch 1986, Biometrika 73:363; Lin & Wei
+1989, JASA 84:1074),
 
-One fixed oracle seed per calibration makes the bracketing function a
-deterministic, smooth, monotone function of beta_c, so a bracketed
-secant (Illinois regula falsi) applies; the Monte Carlo error of the
-oracle population is folded into the solver tolerance, which must
-dominate it.
+    U(beta) = integral of [f1 S0 - e^beta f0 S1] / (S0 + e^beta S1) dt.
 
-beta_c enters a treated gap time only as the factor e^{-beta_c} on the
-subject's control time, so one solve draws the population once and
-sorts each event's control times once; every oracle evaluation then
-rescales them, which leaves both arms presorted.
+S0(t) = E_X exp(-t lambda e^{beta1 X}) is the survival function of a
+control gap time and f0 its density; the treated arm is the rescaling
+S1(t) = S0(t e^{beta_c}), f1(t) = e^{beta_c} f0(t e^{beta_c}). X is the
+covariate on the gap's hazard: N(0, 1) for the first gap and, under
+drift, N(0, 1 + drift_sd^2) for the second. The oracle evaluates U as
+a Gauss-Hermite sum in X inside a uniform grid in log t and takes its
+root with a bracketed secant; a second secant solves for the beta_c
+whose first-event marginal effect hits a requested target. Nothing is
+drawn, so both roots run to tight tolerances.
 
 The module ships the calibrated table for the five standard targets
 (marginal HR 1 to 3) so simulation runs do not pay the solve; passing
@@ -24,20 +27,34 @@ a flag recomputes it from scratch.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .coxfit import SurvivalSample, fit_weighted_cox
-from .simgen import Scenario, ScenarioConfig, gen_potential_outcomes
-from .statcore import RngStream
+# perfbench/spans.py wraps these two names as span targets; nothing here
+# calls them. They go together with those targets.
+from .coxfit import fit_weighted_cox  # noqa: F401
+from .simgen import Scenario, ScenarioConfig, gen_potential_outcomes  # noqa: F401
 
-DEFAULT_ORACLE_SEED = 12345
-# the design whose census defines the marginal truths
+# the design whose gap times define the marginal truths
 ORACLE_SCENARIO = Scenario.TVTreatmentCovariates
-DEFAULT_ORACLE_N = 1_000_000
+# tolerance of the shipped table, whose constants are rounded to 4 dp
 DEFAULT_TOLERANCE = 0.005
-_MIN_ORACLE_N = 100_000
+# tolerance of a fresh solve on the marginal log HR
+SOLVE_TOLERANCE = 1e-10
 _MAX_BISECT_ITER = 60
+# 80 nodes x 2,000 log-time points agree with 200 x 8,000 to 1e-12 on
+# every table entry
+_HERMITE_NODES = 80
+_LOG_TIME_POINTS = 2_000
+_LOG_TIME_HALF_WIDTH = 45.0
+# exp(-750) is 0 in double precision; capping the argument there keeps
+# numpy off its slow underflow path
+_EXP_ARG_CAP = 750.0
+# |U| at which the limiting score counts as zero; U is in probability
+# units with slope -0.4 to -0.5 at the table's beta_c values, so the
+# root is good to about 3e-13
+_SCORE_TOLERANCE = 1e-13
 
 
 @dataclass
@@ -53,7 +70,6 @@ class CalibrationEntry:
     beta_m1: float
     beta_c: float
     beta_m2: float
-    oracle_n: int
     achieved_beta_m1: float
     tolerance: float
 
@@ -67,14 +83,15 @@ class CalibrationEntry:
 
 
 # published mapping for marginal HR targets 1, 1.5, 2, 2.5, 3 at the
-# default drift (x2 = x1 + N(0, 16)); regenerate with
-# `recurweight calibrate --targets 1,1.5,2,2.5,3`
+# default drift (x2 = x1 + N(0, 16)), rounded to 4 dp; an exact solve
+# (`recurweight calibrate --targets 1,1.5,2,2.5,3`) lands within 5e-4
+# of every constant
 CALIBRATION_TABLE = (
-    CalibrationEntry(0.0, 0.0, 0.0, DEFAULT_ORACLE_N, 0.0, DEFAULT_TOLERANCE),
-    CalibrationEntry(0.4055, 0.4599, 0.2085, DEFAULT_ORACLE_N, 0.4055, DEFAULT_TOLERANCE),
-    CalibrationEntry(0.6931, 0.7830, 0.3551, DEFAULT_ORACLE_N, 0.6931, DEFAULT_TOLERANCE),
-    CalibrationEntry(0.9163, 1.0313, 0.4686, DEFAULT_ORACLE_N, 0.9163, DEFAULT_TOLERANCE),
-    CalibrationEntry(1.0986, 1.2331, 0.5616, DEFAULT_ORACLE_N, 1.0986, DEFAULT_TOLERANCE),
+    CalibrationEntry(0.0, 0.0, 0.0, 0.0, DEFAULT_TOLERANCE),
+    CalibrationEntry(0.4055, 0.4599, 0.2085, 0.4055, DEFAULT_TOLERANCE),
+    CalibrationEntry(0.6931, 0.7830, 0.3551, 0.6931, DEFAULT_TOLERANCE),
+    CalibrationEntry(0.9163, 1.0313, 0.4686, 0.9163, DEFAULT_TOLERANCE),
+    CalibrationEntry(1.0986, 1.2331, 0.5616, 1.0986, DEFAULT_TOLERANCE),
 )
 
 
@@ -86,52 +103,72 @@ def lookup_calibration(target_hr):
     return None
 
 
-def _census(scenario, oracle_n, seed):
-    """One oracle population's potential outcomes.
+@lru_cache(maxsize=1)
+def _quadrature():
+    """Normal nodes and weights (summing to 1), log-time grid and its step.
 
-    Drawn at beta_c = 0; callers use only the control columns, which do
-    not depend on beta_c.
+    numpy.polynomial is imported here, on the first oracle call, so
+    importing the package does not pay for it.
     """
-    if oracle_n < _MIN_ORACLE_N:
-        raise ValueError(f"oracle population must be at least {_MIN_ORACLE_N}")
-    cfg = ScenarioConfig(scenario=scenario, n_subjects=oracle_n)
-    return gen_potential_outcomes(cfg, RngStream(seed))
+    from numpy.polynomial.hermite_e import hermegauss
 
-
-def _census_log_hr(control, beta_c):
-    """Marginal log HR of the census whose sorted control times are `control`.
-
-    Stacks the treated and control outcomes of every subject and fits
-    an unweighted Cox model on the arm indicator. Every comparison of
-    a subject with themselves is exact, so no weighting is needed. A
-    treated time is the control time times e^{-beta_c}, so both arms
-    reach the fit already sorted.
-    """
-    n = len(control)
-    sample = SurvivalSample(
-        time=np.concatenate([control * np.exp(-beta_c), control]),
-        event=np.ones(2 * n),
-        treatment=np.concatenate([np.ones(n), np.zeros(n)]),
-        weight=np.ones(2 * n),
+    nodes, weights = hermegauss(_HERMITE_NODES)
+    log_times, step = np.linspace(
+        -_LOG_TIME_HALF_WIDTH, _LOG_TIME_HALF_WIDTH, _LOG_TIME_POINTS,
+        retstep=True,
     )
-    return fit_weighted_cox(sample, robust=False).log_hr
+    return nodes, weights / weights.sum(), np.exp(log_times), step
 
 
-def marginal_hr_oracle(
-    beta_c,
-    event,
-    scenario=ORACLE_SCENARIO,
-    oracle_n=DEFAULT_ORACLE_N,
-    seed=DEFAULT_ORACLE_SEED,
-):
-    """Marginal log HR induced by beta_c, from a potential-outcome census.
+def _survival_terms(times, rates, weights):
+    """S(t) and t f(t) of an exponential gap time whose rate is mixed.
 
-    Draws its own census; calibrate_beta_c shares one across a solve.
+    rates[k] carries probability weights[k]; both results are sums
+    over the nodes at each time.
+    """
+    u = np.outer(rates, times)
+    e = np.exp(-np.minimum(u, _EXP_ARG_CAP))
+    return weights @ e, weights @ (u * e)
+
+
+@np.errstate(all="ignore")  # a fault surfaces as the checks' ValueError
+def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
+    """Marginal log HR that beta_c induces on one event's gap time.
+
+    The root of the limiting Cox score U of the module docstring, at
+    the ScenarioConfig defaults for beta1, baseline_rate and drift_sd.
+    On the log-time grid dt = t ds, so U is a sum of
+    [t f1 S0 - e^beta t f0 S1] / (S0 + e^beta S1) over the points where
+    S0 + S1 > 0 (both underflow at large t). Raises ValueError when no
+    grid point carries mass or U is not finite, as happens for a
+    non-finite beta_c.
     """
     if event not in (1, 2):
         raise ValueError("event must be 1 or 2")
-    po = _census(scenario, oracle_n, seed)
-    return _census_log_hr(np.sort(po[f"w{event}_control"]), beta_c)
+    sd = 1.0
+    if Scenario(scenario) is not Scenario.IndependentGaps and event == 2:
+        sd = np.sqrt(1.0 + ScenarioConfig.drift_sd**2)
+    nodes, weights, times, step = _quadrature()
+    rates = ScenarioConfig.baseline_rate * np.exp(ScenarioConfig.beta1 * sd * nodes)
+    s0, tf0 = _survival_terms(times, rates, weights)
+    s1, tf1 = _survival_terms(times * np.exp(beta_c), rates, weights)
+    mass = s0 + s1 > 0
+    if not mass.any():
+        raise ValueError(f"no log-time grid point carries mass at beta_c={beta_c}")
+    s0, tf0, s1, tf1 = s0[mass], tf0[mass], s1[mass], tf1[mass]
+
+    def negative_score(beta):
+        eb = np.exp(beta)
+        score = step * np.sum((tf1 * s0 - eb * tf0 * s1) / (s0 + eb * s1))
+        if not np.isfinite(score):
+            raise ValueError(f"limiting Cox score is not finite at beta_c={beta_c}")
+        return -score
+
+    # the marginal effect lies between 0 and beta_c; the margin keeps
+    # both bracket ends off the root
+    lo, hi = min(0.0, beta_c) - 0.5, max(0.0, beta_c) + 0.5
+    beta, _ = _bisect(negative_score, lo, hi, _SCORE_TOLERANCE)
+    return float(beta)
 
 
 def _bisect(func, lo, hi, tolerance, max_iter=_MAX_BISECT_ITER):
@@ -173,45 +210,35 @@ def _bisect(func, lo, hi, tolerance, max_iter=_MAX_BISECT_ITER):
                 f_lo *= 0.5
             moved = 1
     raise RuntimeError(
-        "root search exhausted; tolerance is probably below the oracle's "
-        "Monte Carlo error"
+        f"root search exhausted after {max_iter} steps; the function is "
+        "probably not continuous at its root, or the tolerance is below "
+        "its rounding error"
     )
 
 
-def calibrate_beta_c(
-    target_beta_m1,
-    tolerance=DEFAULT_TOLERANCE,
-    oracle_n=DEFAULT_ORACLE_N,
-    seed=DEFAULT_ORACLE_SEED,
-):
+def calibrate_beta_c(target_beta_m1, tolerance=SOLVE_TOLERANCE):
     """Solve for the conditional log HR hitting a marginal target.
 
     Marginal effects are attenuated relative to conditional ones here,
-    so the root lies in [target, 2 target + 0.5]; the oracle at fixed
-    seed is monotone increasing in beta_c over that range. The census
-    is drawn once and shared by every evaluation of the solve.
+    so the root lies in [target, 2 target + 0.5], over which the oracle
+    is monotone increasing in beta_c. Each evaluation goes through the
+    module attribute marginal_hr_oracle, so a wrapper installed there
+    sees every call.
     """
     if target_beta_m1 < 0:
         raise ValueError("target must be nonnegative")
     if target_beta_m1 == 0.0:
-        return CalibrationEntry(0.0, 0.0, 0.0, oracle_n, 0.0, tolerance)
-
-    po = _census(ORACLE_SCENARIO, oracle_n, seed)
-    control1 = np.sort(po["w1_control"])
-    control2 = np.sort(po["w2_control"])
-    del po
+        return CalibrationEntry(0.0, 0.0, 0.0, 0.0, tolerance)
 
     def gap(beta_c):
-        return _census_log_hr(control1, beta_c) - target_beta_m1
+        return marginal_hr_oracle(beta_c, 1) - target_beta_m1
 
     lo, hi = target_beta_m1, 2.0 * target_beta_m1 + 0.5
     beta_c, residual = _bisect(gap, lo, hi, tolerance)
-    beta_m2 = _census_log_hr(control2, beta_c)
     return CalibrationEntry(
         beta_m1=target_beta_m1,
         beta_c=beta_c,
-        beta_m2=beta_m2,
-        oracle_n=oracle_n,
+        beta_m2=marginal_hr_oracle(beta_c, 2),
         achieved_beta_m1=target_beta_m1 + residual,
         tolerance=tolerance,
     )

@@ -26,13 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .calibrate import (
-    DEFAULT_ORACLE_N,
-    DEFAULT_ORACLE_SEED,
-    ORACLE_SCENARIO,
-    calibrate_beta_c,
-    lookup_calibration,
-)
+from .calibrate import ORACLE_SCENARIO, calibrate_beta_c, lookup_calibration
 from .harness import run_simulation
 from .simgen import (
     ALPHA0_BY_PREVALENCE,
@@ -67,6 +61,10 @@ SUMMARY_COLUMNS = (
 CALIBRATION_COLUMNS = ("beta_m1", "hr1", "beta_c", "beta_m2", "hr2")
 
 DEFAULT_MASTER_SEED = 1234
+# the oracle is exact and takes no size; simulate and generate manifests
+# still record the value of the ignored --oracle-n, this by default
+DEFAULT_ORACLE_N = 1_000_000
+_IGNORED = "ignored: the marginal-HR oracle is exact"
 
 
 @dataclass
@@ -104,7 +102,7 @@ class RunManifest:
 # the manifest fields a calibration solve reads; the others are study inputs
 _CALIBRATE_FIELDS = (
     "command", "scenario", "beta1", "baseline_rate", "drift_sd", "target_hrs",
-    "oracle_n", "master_seed", "output_format", "output_path", "beta_c_values",
+    "output_format", "output_path", "beta_c_values",
 )
 
 
@@ -154,8 +152,8 @@ def parse_args(argv):
     cal = commands.add_parser("calibrate", help="solve the effect mapping")
     cal.add_argument("--targets", default="1,1.5,2,2.5,3")
     cal.add_argument("--oracle-n", type=_positive(int, "--oracle-n"),
-                     default=DEFAULT_ORACLE_N)
-    cal.add_argument("--seed", type=int, default=DEFAULT_ORACLE_SEED)
+                     default=None, help=_IGNORED)
+    cal.add_argument("--seed", type=int, default=None, help=_IGNORED)
     cal.add_argument("--format", choices=["csv", "md", "json"], default="csv")
     cal.add_argument("--out", default=None)
 
@@ -165,7 +163,7 @@ def parse_args(argv):
     sim.add_argument("--format", choices=["csv", "md", "json"], default="csv")
     sim.add_argument("--recalibrate", action="store_true")
     sim.add_argument("--oracle-n", type=_positive(int, "--oracle-n"),
-                     default=DEFAULT_ORACLE_N)
+                     default=DEFAULT_ORACLE_N, help=_IGNORED)
 
     gen = commands.add_parser("generate", help="dump one raw cohort as CSV")
     _add_common(gen, target_hr="1.5")
@@ -179,8 +177,6 @@ def parse_args(argv):
             command="calibrate",
             scenario=int(ORACLE_SCENARIO),
             target_hrs=_parse_targets(args.targets, parser),
-            oracle_n=args.oracle_n,
-            master_seed=args.seed,
             output_format=args.format,
             output_path=args.out,
         )
@@ -330,7 +326,6 @@ def emit_calibration(entries, target_hrs, output_format, path, manifest):
             "beta_m2": entry.beta_m2,
             "hr2": float(np.exp(entry.beta_m2)),
             "achieved_beta_m1": entry.achieved_beta_m1,
-            "oracle_n": entry.oracle_n,
             "tolerance": entry.tolerance,
         })
     header = ["True log marginal HR", "True HR", "True log conditional HR",
@@ -346,19 +341,12 @@ def _resolve_entry(hr, manifest):
     cached = None if manifest.recalibrate else lookup_calibration(hr)
     if cached is not None:
         return cached
-    return calibrate_beta_c(
-        float(np.log(hr)), oracle_n=manifest.oracle_n
-    )
+    return calibrate_beta_c(float(np.log(hr)))
 
 
 def _cmd_calibrate(manifest):
     entries = tuple(
-        calibrate_beta_c(
-            float(np.log(hr)),
-            oracle_n=manifest.oracle_n,
-            seed=manifest.master_seed,
-        )
-        for hr in manifest.target_hrs
+        calibrate_beta_c(float(np.log(hr))) for hr in manifest.target_hrs
     )
     manifest.beta_c_values = tuple(e.beta_c for e in entries)
     emit_calibration(

@@ -2,12 +2,12 @@
 
 Each test pins one acceptance criterion. Unlike the unit suites these
 run the whole pipeline at the scales the package is meant for (200
-replicates of n = 10,000; calibration against a 10^6-subject oracle),
-so the file takes a few minutes, dominated by the calibration solve.
+replicates of n = 10,000 per study; the five-target calibration
+solve), so the file takes seconds rather than milliseconds, dominated
+by the studies.
 
 Everything here is deterministic: one frozen master seed drives the
-Monte Carlo runs, and the calibration command uses its own default
-oracle seed.
+Monte Carlo runs, and the calibration oracle is exact.
 """
 
 import csv

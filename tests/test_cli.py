@@ -69,14 +69,30 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is for the tests
+def _fresh_interpreter(code):
     src = str(Path(recurweight.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, recurweight.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests
+    code = "import sys, recurweight.cli; print('scipy' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the oracle's quadrature nodes come from numpy.polynomial, which
+    # takes milliseconds to import; it loads on the first oracle call
+    code = (
+        "import sys, recurweight.cli\n"
+        "before = 'numpy.polynomial' in sys.modules\n"
+        "recurweight.cli.calibrate_beta_c(0.1)\n"
+        "print(before, 'numpy.polynomial' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "False True"
 
 
 def test_simulate_csv_schema(tmp_path):
@@ -244,8 +260,9 @@ def test_calibrate_small_oracle(tmp_path):
 
 
 def test_calibrate_manifest_lists_what_governs_the_solve(tmp_path):
-    # the solve reads the census design and the oracle settings; the
-    # study-only fields (n_reps, prevalence, tau, intercepts) stay out
+    # the solve reads the oracle design and the generator parameters;
+    # the study-only fields (n_reps, prevalence, tau, intercepts) and
+    # the ignored --oracle-n and --seed stay out
     m = parse_args("calibrate --targets 2 --oracle-n 200000 --seed 7".split())
     m.beta_c_values = (0.783,)
     want = {
@@ -253,7 +270,7 @@ def test_calibrate_manifest_lists_what_governs_the_solve(tmp_path):
         "beta1": ScenarioConfig.beta1,
         "baseline_rate": ScenarioConfig.baseline_rate,
         "drift_sd": ScenarioConfig.drift_sd,
-        "target_hrs": [2.0], "oracle_n": 200_000, "master_seed": 7,
+        "target_hrs": [2.0],
         "output_format": "csv", "output_path": None, "beta_c_values": [0.783],
     }
     entry = lookup_calibration(2.0)

@@ -10,6 +10,7 @@ from recurweight.coxfit import (
     fit_weighted_cox,
     partial_loglik,
 )
+from recurweight.simgen import Scenario, ScenarioConfig, gen_potential_outcomes
 from recurweight.statcore import RngStream, draw_uniform
 
 
@@ -250,6 +251,35 @@ class TestFitWeightedCox:
         monkeypatch.setattr(coxfit, "_loglik_at", poisoned)
         with pytest.raises(CoxConvergenceError):
             fit_weighted_cox(THREE)
+
+    def test_census_fit_does_not_crawl_at_the_noise_floor(self, monkeypatch):
+        # both forced arms of a 10^6-subject census at seed 202, fitted
+        # at log HR 2 ln 2 + 0.5: this fit once took 16 Newton
+        # iterations and 89 likelihood evaluations, because rounding
+        # noise in a likelihood of |ll| ~ 2.7e7 made step-halving
+        # reject good steps; a fit whose every step is accepted
+        # evaluates once per iterate
+        n, beta = 1_000_000, 2.0 * np.log(2.0) + 0.5
+        cfg = ScenarioConfig(Scenario.TVTreatmentCovariates, n_subjects=n)
+        control = np.sort(gen_potential_outcomes(cfg, RngStream(202))["w1_control"])
+        sample = SurvivalSample(
+            time=np.concatenate([control * np.exp(-beta), control]),
+            event=np.ones(2 * n),
+            treatment=np.concatenate([np.ones(n), np.zeros(n)]),
+            weight=np.ones(2 * n),
+        )
+        del control
+        evaluations = []
+        real_loglik = coxfit._loglik_at
+
+        def counting_loglik(beta, *args):
+            evaluations.append(beta)
+            return real_loglik(beta, *args)
+
+        monkeypatch.setattr(coxfit, "_loglik_at", counting_loglik)
+        fit = fit_weighted_cox(sample, robust=False)
+        assert fit.n_iter <= 6
+        assert len(evaluations) == fit.n_iter + 1
 
 
 class TestRobustVariance:

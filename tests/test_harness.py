@@ -37,7 +37,7 @@ def make_result(b1=0.4, b2=0.2, failed=False):
 
 
 def toy_truth(m1=0.4, m2=0.2):
-    return CalibrationEntry(m1, m1 + 0.1, m2, 10**6, m1, 0.005)
+    return CalibrationEntry(m1, m1 + 0.1, m2, m1, 0.005)
 
 
 def test_summarize_exact_estimates():
