@@ -17,6 +17,11 @@ A fit takes A0 and A1 once, at the event rows, so each likelihood,
 score and information evaluation costs one scalar exp and a pass over
 the events. Unweighted arm sums are exact integers, so the likelihood
 carries no rounding from cumulative sums that change with beta.
+
+The one sort per fit is numpy's default argsort of the times. Where
+times tie, a sort of integer keys puts the tied rows back in sample
+order, so every sum runs in the order of a stable sort and the results
+equal a stable sort's bit for bit; untied samples skip that step.
 """
 
 from dataclasses import dataclass
@@ -92,7 +97,8 @@ _LOGLIK_RTOL = 1e-10
 class _RiskSets(NamedTuple):
     """The positive-weight rows of a sample, sorted by time.
 
-    perm puts those rows, taken in sample order, in time order; t, d,
+    perm puts those rows, taken in sample order, in time order, with
+    tied rows kept in sample order, so it equals a stable sort; t, d,
     z, w are the sorted columns. first[j] is the first row tied with
     row j, so row j's risk set is the suffix from there; first is None
     when no times tie, since it would be the identity.
@@ -127,12 +133,20 @@ def _sorted_arrays(sample):
     # or any residual; dropping them up front also keeps suffix risk
     # sums strictly positive
     keep = np.flatnonzero(sample.weight > 0.0)
-    perm = np.argsort(sample.time[keep], kind="stable")
-    order = keep[perm]
-    t = sample.time[order]
+    time = sample.time[keep]
+    perm = np.argsort(time)
+    t = time[perm]
     first = None
     if np.any(t[1:] == t[:-1]):
         first = np.searchsorted(t, t, side="left")
+        # the default sort leaves tied rows in no set order; the
+        # distinct keys first * n + perm sort by tie block, then by
+        # sample order, so perm becomes the stable sort's and rows move
+        # only within their block (t and first stand); the keys fit
+        # int64 for n < 3e9 rows
+        n = len(perm)
+        perm = np.sort(first * n + perm) % n
+    order = keep[perm]
     return _RiskSets(
         perm, t, sample.event[order], sample.treatment[order],
         sample.weight[order], first,

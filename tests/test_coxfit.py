@@ -257,8 +257,10 @@ class TestFitWeightedCox:
         # at log HR 2 ln 2 + 0.5: this fit once took 16 Newton
         # iterations and 89 likelihood evaluations, because rounding
         # noise in a likelihood of |ll| ~ 2.7e7 made step-halving
-        # reject good steps; a fit whose every step is accepted
-        # evaluates once per iterate
+        # reject good steps. The arm-sum likelihood carries no such
+        # noise any more, so this now guards the iteration count and
+        # full steps of a 2 x 10^6-row fit; the rounding allowance
+        # itself is guarded by the test below
         n, beta = 1_000_000, 2.0 * np.log(2.0) + 0.5
         cfg = ScenarioConfig(Scenario.TVTreatmentCovariates, n_subjects=n)
         control = np.sort(gen_potential_outcomes(cfg, RngStream(202))["w1_control"])
@@ -281,11 +283,70 @@ class TestFitWeightedCox:
         assert fit.n_iter <= 6
         assert len(evaluations) == fit.n_iter + 1
 
+    def test_noise_below_the_allowance_does_not_halve_steps(self, monkeypatch):
+        # every trial point reads no higher than the point before it,
+        # less 1e-11 |ll|: rounding noise a tenth of the allowance, as
+        # at the noise floor of a sum over many rows. Step-halving must
+        # still take each full step, as it does without the noise
+        rng = RngStream(203)
+        n = 2000
+        s = make_sample(
+            draw_uniform(rng, n) + 0.01,
+            (draw_uniform(rng, n) < 0.8).astype(float),
+            (draw_uniform(rng, n) < 0.5).astype(float),
+            0.5 + draw_uniform(rng, n),
+        )
+        clean = fit_weighted_cox(s, robust=False)
+        real = coxfit._loglik_at
+        previous = []
+
+        def noisy(beta, *args):
+            loglik, s0, s1 = real(beta, *args)
+            if previous:
+                loglik = min(loglik, previous[-1]) - 1e-11 * abs(loglik)
+            previous.append(loglik)
+            return loglik, s0, s1
+
+        monkeypatch.setattr(coxfit, "_loglik_at", noisy)
+        fit = fit_weighted_cox(s, robust=False)
+        assert len(previous) == fit.n_iter + 1
+        assert fit.n_iter == clean.n_iter
+        assert fit.log_hr == clean.log_hr
+
+
+def count_sorts(monkeypatch, sample):
+    """Fit sample with its sandwich, counting numpy's sort calls."""
+    calls = {}
+    for name in ("argsort", "sort", "unique", "lexsort"):
+        real = getattr(np, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    fit = fit_weighted_cox(sample)
+    monkeypatch.undo()
+    assert np.isfinite(fit.robust_se)
+    return calls
+
 
 class TestRobustVariance:
-    def test_one_sort_per_fit(self, monkeypatch):
+    def test_untied_fit_makes_one_argsort(self, monkeypatch):
+        rng = RngStream(85)
+        n = 400
+        s = make_sample(
+            draw_uniform(rng, n) + 0.01,
+            (draw_uniform(rng, n) < 0.85).astype(float),
+            (draw_uniform(rng, n) < 0.5).astype(float),
+        )
+        assert len(np.unique(s.time)) == n
+        assert count_sorts(monkeypatch, s) == {"argsort": 1}
+
+    def test_tied_fit_adds_one_key_sort(self, monkeypatch):
         # ties, censored rows and zero weights take every branch of the
-        # fit and its sandwich; the time sort is the only sort
+        # fit and its sandwich; beside the time argsort, only the sort
+        # of the integer tie keys runs
         rng = RngStream(86)
         n = 400
         t = np.round(draw_uniform(rng, n), 2) + 0.01
@@ -293,20 +354,9 @@ class TestRobustVariance:
         d = (draw_uniform(rng, n) < 0.85).astype(float)
         w = 0.5 + draw_uniform(rng, n)
         w[::37] = 0.0
-        s = make_sample(t, d, z, w)
-        calls = {}
-        for name in ("argsort", "sort", "unique", "lexsort"):
-            real = getattr(np, name)
-
-            def counted(*args, _name=name, _real=real, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np, name, counted)
-        fit = fit_weighted_cox(s)
-        monkeypatch.undo()
-        assert np.isfinite(fit.robust_se)
-        assert calls == {"argsort": 1}
+        assert count_sorts(monkeypatch, make_sample(t, d, z, w)) == {
+            "argsort": 1, "sort": 1,
+        }
 
     def test_finite_difference_oracle(self):
         # s_i = w_i dU/dw_i, so the meat can be rebuilt from numerical

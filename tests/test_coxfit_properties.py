@@ -1,10 +1,12 @@
 """Algebraic invariants of the weighted Cox estimator, property-tested.
 
-Each property rebuilds a small sample in a way that leaves the weighted
-partial likelihood unchanged (or scales it) and compares the point
-estimate and the naive standard error of the two fits; the last checks
-the sandwich against numerical derivatives of the score. Times come
-from a coarse grid so that Breslow ties are common.
+Each invariant property rebuilds a small sample in a way that leaves
+the weighted partial likelihood unchanged (or scales it) and compares
+the point estimate and the naive standard error of the two fits; one
+checks the sandwich against numerical derivatives of the score. Times
+come from a coarse grid so that Breslow ties are common. The last
+properties check that the fit's sort, which restores sample order
+among tied rows by itself, gives exactly what a stable sort gives.
 """
 
 import numpy as np
@@ -12,12 +14,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from recurweight import coxfit
 from recurweight.coxfit import (
     CoxConvergenceError,
     MonotoneLikelihoodError,
     SurvivalSample,
     fit_weighted_cox,
+    partial_loglik,
 )
+from recurweight.harness import run_replicate
+from recurweight.simgen import Scenario, config_for
 
 TOL = 1e-9
 
@@ -144,3 +150,87 @@ def test_sandwich_residuals_are_weight_derivatives_of_the_score(columns):
     # compared as sqrt(meat): where the residuals are all nearly zero,
     # the differencing error (< 1e-7 there) needs an absolute floor
     assert result.robust_se * info == pytest.approx(root_meat, rel=1e-6, abs=1e-6)
+
+
+def stable_sorted_arrays(sample):
+    """The fit's sorted rows built with a stable sort: the reference
+    that coxfit._sorted_arrays must match."""
+    keep = np.flatnonzero(sample.weight > 0.0)
+    perm = np.argsort(sample.time[keep], kind="stable")
+    order = keep[perm]
+    t = sample.time[order]
+    first = None
+    if np.any(t[1:] == t[:-1]):
+        first = np.searchsorted(t, t, side="left")
+    return coxfit._RiskSets(
+        perm, t, sample.event[order], sample.treatment[order],
+        sample.weight[order], first,
+    )
+
+
+@st.composite
+def tied_rows(draw):
+    # at most 5 distinct times, so most rows tie; zero weights and
+    # censored rows are common
+    n = draw(st.integers(2, 40))
+    values = draw(st.lists(
+        st.floats(0.01, 100.0), min_size=1, max_size=5, unique=True,
+    ))
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    return SurvivalSample(
+        time=np.array(column(st.sampled_from(values))),
+        event=np.array(column(st.integers(0, 1)), dtype=float),
+        treatment=np.array(column(st.integers(0, 1)), dtype=float),
+        weight=np.array(column(st.one_of(st.just(0.0), st.floats(0.25, 4.0)))),
+    )
+
+
+def fit_outcome(sample):
+    try:
+        return fit_weighted_cox(sample)
+    except (MonotoneLikelihoodError, CoxConvergenceError) as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(tied_rows())
+def test_sorted_rows_equal_a_stable_sort(sample):
+    got, want = coxfit._sorted_arrays(sample), stable_sorted_arrays(sample)
+    for name in ("perm", "t", "d", "z", "w"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.first is None) == (want.first is None)
+    if want.first is not None:
+        assert np.array_equal(got.first, want.first)
+
+
+@PROPERTY
+@given(tied_rows())
+def test_fit_equals_a_stable_sort_fit_bit_for_bit(sample):
+    betas = np.array([-1.5, 0.0, 0.3, 2.0])
+    got = fit_outcome(sample), partial_loglik(betas, sample)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coxfit, "_sorted_arrays", stable_sorted_arrays)
+        want = fit_outcome(sample), partial_loglik(betas, sample)
+    # CoxFit equality compares log_hr, naive_se and robust_se with ==
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+def test_tied_study_replicate_equals_a_stable_sort_replicate():
+    # scenario 3 cut at tau = 0.5 ties every censored row at tau
+    cfg = config_for(Scenario.TVTreatmentCovariates, prevalence=0.5,
+                     beta_c=0.7832, tau=0.5)
+    got = run_replicate(cfg, 2024, 3)
+    tied = []
+
+    def reference(sample):
+        rs = stable_sorted_arrays(sample)
+        tied.append(rs.first is not None)
+        return rs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coxfit, "_sorted_arrays", reference)
+        want = run_replicate(cfg, 2024, 3)
+    assert tied == [True, True]
+    assert not got.failed
+    assert repr(got) == repr(want)
