@@ -21,7 +21,8 @@ carries no rounding from cumulative sums that change with beta.
 The one sort per fit is numpy's default argsort of the times. Where
 times tie, a sort of integer keys puts the tied rows back in sample
 order, so every sum runs in the order of a stable sort and the results
-equal a stable sort's bit for bit; untied samples skip that step.
+equal a stable sort's bit for bit; untied samples skip that step, and
+samples with no zero weight skip the filter that would drop such rows.
 """
 
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ class SurvivalSample:
     treatment : binary z, 0 or 1.
     weight : nonnegative case weights (stabilized weights in practice).
 
+    Columns are stored contiguous, so a cohort field is copied once.
     The robust variance treats the rows as independent subjects.
     """
 
@@ -56,10 +58,8 @@ class SurvivalSample:
     weight: np.ndarray
 
     def __post_init__(self):
-        self.time = np.asarray(self.time, dtype=float)
-        self.event = np.asarray(self.event, dtype=float)
-        self.treatment = np.asarray(self.treatment, dtype=float)
-        self.weight = np.asarray(self.weight, dtype=float)
+        for name in ("time", "event", "treatment", "weight"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=float))
         n = self.time.shape[0]
         for name in ("event", "treatment", "weight"):
             if getattr(self, name).shape[0] != n:
@@ -131,9 +131,10 @@ class _ArmSums(NamedTuple):
 def _sorted_arrays(sample):
     # zero-weight rows contribute nothing to the likelihood, the score,
     # or any residual; dropping them up front also keeps suffix risk
-    # sums strictly positive
-    keep = np.flatnonzero(sample.weight > 0.0)
-    time = sample.time[keep]
+    # sums strictly positive. Without any, the rows are used as they are.
+    positive = sample.weight > 0.0
+    keep = None if positive.all() else np.flatnonzero(positive)
+    time = sample.time if keep is None else sample.time[keep]
     perm = np.argsort(time)
     t = time[perm]
     first = None
@@ -146,7 +147,7 @@ def _sorted_arrays(sample):
         # int64 for n < 3e9 rows
         n = len(perm)
         perm = np.sort(first * n + perm) % n
-    order = keep[perm]
+    order = perm if keep is None else keep[perm]
     return _RiskSets(
         perm, t, sample.event[order], sample.treatment[order],
         sample.weight[order], first,

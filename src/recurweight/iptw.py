@@ -14,7 +14,8 @@ Under administrative censoring the second-event columns (x2, z2) are
 only seen for subjects whose first event was observed, so the second
 propensity model and the joint table are fit on the delta1 = 1 rows
 and predictions extended to everyone. Baseline columns are complete,
-so the first model always uses the full sample.
+so the first model always uses the full sample. With no first event
+censored, the second model's fitted probabilities are the predictions.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .statcore import expit, fit_logistic
 
 
 class WeightModelError(RuntimeError):
-    """A weight model failed to converge; the replicate cannot be used."""
+    """A weight model could not be fit; the replicate cannot be used."""
 
 
 @dataclass
@@ -76,16 +77,19 @@ def stabilized_weight_e2(z1, z2, e1, e2, p_joint):
     p_joint = np.asarray(p_joint, dtype=float)
     if p_joint.shape != (2, 2) or np.any(p_joint < 0) or np.any(p_joint > 1):
         raise ValueError("p_joint must be a 2x2 table of probabilities")
-    z1 = np.asarray(z1, dtype=int)
-    z2 = np.asarray(z2, dtype=int)
-    numerator = p_joint[z1, z2]
-    denominator = (z1 * e1 + (1 - z1) * (1.0 - e1)) * (
-        z2 * e2 + (1 - z2) * (1.0 - e2)
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
+    numerator = p_joint[z1.astype(int), z2.astype(int)]
+    # each factor is exactly e or 1 - e for z in {0, 1}; float z spares int casts
+    denominator = (z1 * e1 + (1.0 - z1) * (1.0 - e1)) * (
+        z2 * e2 + (1.0 - z2) * (1.0 - e2)
     )
     return numerator / denominator
 
 
 def _converged_fit(design, response, label):
+    if len(design) < design.shape[1]:
+        raise WeightModelError(f"{label} model has fewer rows than coefficients")
     fit = fit_logistic(design, response)
     if not fit.converged:
         raise WeightModelError(f"{label} model did not converge")
@@ -114,22 +118,19 @@ def build_treatment_weights(dataset, scenario):
         p_joint = np.array([[1.0 - p1, 0.0], [0.0, p1]])
         return TreatmentWeights(sw1, sw1.copy(), p1, p_joint)
 
-    x2 = np.asarray(dataset["x2"], dtype=float)
     z2 = np.asarray(dataset["z2"], dtype=float)
+    design = np.column_stack([np.ones(n), dataset["x2"], z1])
     observed = np.asarray(dataset["delta1"], dtype=bool)
-    fit2 = _converged_fit(
-        np.column_stack([np.ones(observed.sum()), x2[observed], z1[observed]]),
-        z2[observed],
-        "second propensity",
-    )
-    e2 = expit(np.column_stack([np.ones(n), x2, z1]) @ fit2.coefficients)
-
-    z1o = dataset["z1"][observed].astype(int)
-    z2o = dataset["z2"][observed].astype(int)
-    p_joint = np.zeros((2, 2))
-    for i in (0, 1):
-        for j in (0, 1):
-            p_joint[i, j] = np.mean((z1o == i) & (z2o == j))
+    censored = not observed.all()
+    rows = observed if censored else slice(None)
+    fit2 = _converged_fit(design[rows], z2[rows], "second propensity")
+    e2 = expit(design @ fit2.coefficients) if censored else fit2.fitted_probabilities
+    # cell 2 z1 + z2 of the joint table, counted over the fit's rows
+    cells = 2 * dataset["z1"][rows] + dataset["z2"][rows]
+    p_joint = (np.bincount(cells, minlength=4) / len(cells)).reshape(2, 2)
+    if not censored:
+        sw2 = stabilized_weight_e2(z1, z2, e1, e2, p_joint)
+        return TreatmentWeights(sw1, sw2, p1, p_joint)
 
     # a censored row with a saturated e2 prediction is unusable but
     # harmless (it never enters a second-event fit); give it weight 0
@@ -139,11 +140,5 @@ def build_treatment_weights(dataset, scenario):
     if not np.all(valid[observed]):
         raise ValueError("e2 must lie strictly in (0, 1)")
     sw2 = np.zeros(n)
-    sw2[valid] = stabilized_weight_e2(
-        dataset["z1"][valid].astype(int),
-        dataset["z2"][valid].astype(int),
-        e1[valid],
-        e2[valid],
-        p_joint,
-    )
+    sw2[valid] = stabilized_weight_e2(z1[valid], z2[valid], e1[valid], e2[valid], p_joint)
     return TreatmentWeights(sw1, sw2, p1, p_joint)

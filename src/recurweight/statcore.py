@@ -121,12 +121,15 @@ def fit_logistic(design, response):
         raise SeparationError("constant response: logistic MLE is divergent")
 
     beta = np.zeros(p)
+    XW = np.empty_like(X)  # X * wls[:, None], refilled column by column
     converged = False
     it = 0
     for it in range(1, _IRLS_MAX_ITER + 1):
         prob = expit(X @ beta)
         wls = prob * (1.0 - prob)
-        info = X.T @ (X * wls[:, None])
+        for j in range(p):
+            np.multiply(X[:, j], wls, out=XW[:, j])
+        info = X.T @ XW
         score = X.T @ (y - prob)
         step = np.linalg.solve(info, score)
         beta += step

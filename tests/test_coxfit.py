@@ -10,7 +10,13 @@ from recurweight.coxfit import (
     fit_weighted_cox,
     partial_loglik,
 )
-from recurweight.simgen import Scenario, ScenarioConfig, gen_potential_outcomes
+from recurweight.simgen import (
+    Scenario,
+    ScenarioConfig,
+    config_for,
+    gen_dataset,
+    gen_potential_outcomes,
+)
 from recurweight.statcore import RngStream, draw_uniform
 
 
@@ -444,3 +450,13 @@ class TestSampleValidation:
                 np.array([1.0, 0.0]),
                 np.array([1.0, 1.0]),
             )
+
+    def test_cohort_fields_are_stored_contiguous(self):
+        ds = gen_dataset(config_for(3, 0.25, 500, tau=1.0), RngStream(5))
+        assert not ds["w1"].flags.c_contiguous
+        fields = ("w1", "delta1", "z1", "w2")
+        sample = SurvivalSample(*(ds[name] for name in fields))
+        for column, name in zip(("time", "event", "treatment", "weight"), fields):
+            values = getattr(sample, column)
+            assert values.flags.c_contiguous and values.dtype == np.float64
+            assert np.array_equal(values, ds[name].astype(float))

@@ -169,19 +169,22 @@ def stable_sorted_arrays(sample):
 
 
 @st.composite
-def tied_rows(draw):
-    # at most 5 distinct times, so most rows tie; zero weights and
-    # censored rows are common
+def tied_rows(draw, zero_weights=True):
+    # at most 5 distinct times, so most rows tie; censored rows, and
+    # zero weights where allowed, are common
     n = draw(st.integers(2, 40))
     values = draw(st.lists(
         st.floats(0.01, 100.0), min_size=1, max_size=5, unique=True,
     ))
     column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    weights = st.floats(0.25, 4.0)
+    if zero_weights:
+        weights = st.one_of(st.just(0.0), weights)
     return SurvivalSample(
         time=np.array(column(st.sampled_from(values))),
         event=np.array(column(st.integers(0, 1)), dtype=float),
         treatment=np.array(column(st.integers(0, 1)), dtype=float),
-        weight=np.array(column(st.one_of(st.just(0.0), st.floats(0.25, 4.0)))),
+        weight=np.array(column(weights)),
     )
 
 
@@ -192,15 +195,26 @@ def fit_outcome(sample):
         return type(exc)
 
 
-@PROPERTY
-@given(tied_rows())
-def test_sorted_rows_equal_a_stable_sort(sample):
+def assert_sorted_rows_equal_a_stable_sort(sample):
     got, want = coxfit._sorted_arrays(sample), stable_sorted_arrays(sample)
     for name in ("perm", "t", "d", "z", "w"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.first is None) == (want.first is None)
     if want.first is not None:
         assert np.array_equal(got.first, want.first)
+
+
+@PROPERTY
+@given(tied_rows())
+def test_sorted_rows_equal_a_stable_sort(sample):
+    assert_sorted_rows_equal_a_stable_sort(sample)
+
+
+@PROPERTY
+@given(tied_rows(zero_weights=False))
+def test_zero_free_sorted_rows_equal_a_stable_sort(sample):
+    # with every weight positive, no row is dropped before the sort
+    assert_sorted_rows_equal_a_stable_sort(sample)
 
 
 @PROPERTY

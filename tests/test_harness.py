@@ -134,6 +134,14 @@ def test_replicate_failure_is_flagged_not_raised():
     assert math.isnan(r.beta_hat[0])
 
 
+def test_replicate_with_too_few_observed_first_events_is_flagged():
+    # at tau = 0.05 only a couple of 30 first events are observed, fewer
+    # than the second propensity model's three coefficients
+    r = run_replicate(config_for(3, 0.25, 30, beta_c=0.783, tau=0.05), 1234, 0)
+    assert r.failed
+    assert r.diagnostics["failure"].startswith("WeightModelError: ")
+
+
 def test_null_effect_coverage():
     cfg = config_for(1, 0.25, 2_000, beta_c=0.0)
     results = [run_replicate(cfg, 313, i) for i in range(30)]

@@ -10,6 +10,7 @@ import pytest
 
 from recurweight.iptw import (
     TreatmentWeights,
+    WeightModelError,
     build_treatment_weights,
     stabilized_weight_e1,
     stabilized_weight_e2,
@@ -150,6 +151,35 @@ def test_censored_fit_uses_observed_rows():
     observed = ~censored
     assert np.array_equal(tw.sw2[observed], tw2.sw2[observed])
     assert np.array_equal(tw.p_joint, tw2.p_joint)
+
+
+def test_censored_rows_with_saturated_e2_get_zero_weight():
+    cfg = config_for(3, 0.25, 20_000, beta_c=0.4599, tau=1.0)
+    ds = gen_dataset(cfg, RngStream(40))
+    censored = ds["delta1"] == 0
+    ds["x2"][censored] = 99.0
+    tw = build_treatment_weights(ds, 3)
+    assert np.all(tw.sw2[censored] == 0.0)
+    assert np.all(tw.sw2[~censored] > 0.0)
+
+
+@pytest.mark.parametrize("tau", [None, 1.0])
+def test_saturated_e2_on_an_observed_row_raises(tau):
+    cfg = config_for(3, 0.25, 5_000, beta_c=0.4599, tau=tau)
+    ds = gen_dataset(cfg, RngStream(41))
+    row = np.flatnonzero((ds["delta1"] == 1) & (ds["z2"] == 1))[0]
+    ds["x2"][row] = 99.0
+    with pytest.raises(ValueError, match="e2 must lie strictly in"):
+        build_treatment_weights(ds, 3)
+
+
+def test_too_few_observed_rows_for_the_second_model_raise():
+    cfg = config_for(3, 0.25, 30, beta_c=0.4599, tau=0.05)
+    ds = gen_dataset(cfg, RngStream(42))
+    ds["delta1"] = 0
+    ds["delta1"][:2] = 1
+    with pytest.raises(WeightModelError, match="fewer rows than coefficients"):
+        build_treatment_weights(ds, 3)
 
 
 def test_treatment_weights_validation():
