@@ -58,11 +58,18 @@ def _check_probability(p, name):
     return p
 
 
+def _check_binary(z, name):
+    z = np.asarray(z, dtype=float)
+    if not np.all((z == 0.0) | (z == 1.0)):
+        raise ValueError(f"{name} values must be 0 or 1")
+    return z
+
+
 def stabilized_weight_e1(z1, e1, p1):
     """sw1 = P(Z1=z1) / P(Z1=z1 | x1), vectorized over subjects."""
     e1 = _check_probability(e1, "e1")
     _check_probability(p1, "p1")
-    z1 = np.asarray(z1, dtype=float)
+    z1 = _check_binary(z1, "z1")
     return p1 * z1 / e1 + (1.0 - p1) * (1.0 - z1) / (1.0 - e1)
 
 
@@ -77,8 +84,8 @@ def stabilized_weight_e2(z1, z2, e1, e2, p_joint):
     p_joint = np.asarray(p_joint, dtype=float)
     if p_joint.shape != (2, 2) or np.any(p_joint < 0) or np.any(p_joint > 1):
         raise ValueError("p_joint must be a 2x2 table of probabilities")
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
+    z1 = _check_binary(z1, "z1")
+    z2 = _check_binary(z2, "z2")
     numerator = p_joint[z1.astype(int), z2.astype(int)]
     # each factor is exactly e or 1 - e for z in {0, 1}; float z spares int casts
     denominator = (z1 * e1 + (1.0 - z1) * (1.0 - e1)) * (

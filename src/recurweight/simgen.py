@@ -190,24 +190,168 @@ def gen_potential_outcomes(config, stream):
 
 
 DATASET_CSV_HEADER = "x1,x2,z1,z2,w1,w2,delta1,delta2"
-# rows formatted per write: bounds the Python objects a dump holds at
-# once, which for a whole cohort would outweigh the cohort itself
-CSV_CHUNK_ROWS = 16_384
+# rows formatted per write: bounds the per-chunk byte matrices (172 slots
+# x rows, 0.7 MB with the selection mask) and the kernel's arrays; 2,048
+# rows run as fast as 4,096, which left both matrices resident and raised
+# a repeated 10^6-row dump's peak memory by 0.4 MB
+CSV_CHUNK_ROWS = 2_048
+
+# 10^k is exact in binary for k <= 22, so v 10^k is exact as hi + lo
+_POW10 = np.array([float(10**k) for k in range(21)])
+_INT_POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
+_VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+# X = v 10^k is exact, f = X - floor(X) is within 2^-53 of the truth and a
+# distance d < 2^4 within 2^-48, while the half-ulp H is exact; a decision
+# closer than this to a tie or to the interval's edge goes to repr
+_GUARD = 1e-6
+
+
+def _split(a):
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _shortest_digits(v):
+    """Python's shortest round-trip digits of |v|, for repr's positional range.
+
+    Returns (digits, e10, ndigits, certified): |v| prints as the first
+    ndigits of the 17-digit integer `digits`, with e10 = floor(log10 |v|).
+    Only entries with `certified` set are valid; the rest (zero,
+    subnormal, non-finite, outside [1e-4, 1e16), a power-of-two
+    significand with its asymmetric interval, or a decision inside the
+    guard band) need repr. The p-digit decimal nearest to X = |v| 10^k
+    lies in the rounding interval [X - H, X + H] iff some p-digit decimal
+    does (Steele & White 1990); the interval is symmetric, so the passing
+    p are all p >= the shortest, and p = 17 always passes.
+    """
+    a = np.abs(v)
+    frac, exp2 = np.frexp(a)
+    certified = (a >= 1e-4) & (a < 1e16) & (frac != 0.5)
+    np.copyto(a, 1.0, where=~certified)
+    np.copyto(exp2, 1, where=~certified)  # frexp(1.0) = (0.5, 1)
+    e10 = np.log10(a)
+    # k = 16 - e10 is in [0, 20]; a misjudged e10 fails the range test below
+    e10 = np.floor(e10, out=e10).astype(np.int64)
+    k = 16 - e10
+    # Dekker's TwoProduct: hi + lo == a 10^k exactly, without an FMA
+    hi = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    floor_lo = np.floor(lo)
+    whole = hi.astype(np.int64)
+    whole += floor_lo.astype(np.int64)
+    f = np.subtract(lo, floor_lo, out=lo)
+    half_ulp = np.ldexp(_POW10[k], exp2 - 54)
+    # the p-digit candidate below X is inside iff rem + f < H, the one
+    # above iff q - rem < H + f, for rem = whole mod q: integer tests
+    # against the largest passing rem (below) and q - rem (above)
+    below = np.ceil(half_ulp - f) - 1.0
+    above = np.ceil(half_ulp + f) - 1.0
+    # a misjudged e10 (log10 rounding near a power of ten) leaves X outside
+    # [10^16, 10^17); a fraction near 0, 1/2 or 1 is a possible tie, and H - f
+    # or H + f near a whole number a candidate on the interval's edge
+    certified &= (whole >= _INT_POW10[16]) & (whole < _INT_POW10[17])
+    off_half = np.abs(f - 0.5)
+    certified &= (off_half > _GUARD) & (off_half < 0.5 - _GUARD)
+    for bound, x in ((below, half_ulp - f), (above, half_ulp + f)):
+        gap = bound - x  # in [-1, 0), -1 or 0 where x is a whole number
+        certified &= (gap > _GUARD - 1.0) & (gap < -_GUARD)
+    below, above = below.astype(np.int64), above.astype(np.int64)
+    # the passing p run from 17 down to the shortest; about 57% of random
+    # values pass p = 16 and 6% p = 15, so the loop follows the survivors
+    ndigits = np.full(a.shape, 17, dtype=np.int64)
+    live = np.flatnonzero(certified)
+    for p in range(16, 0, -1):
+        q = _INT_POW10[17 - p]
+        x = whole[live]
+        rem = x - x // q * q
+        live = live[np.where(rem >= q // 2, q - rem <= above[live], rem <= below[live])]
+        if not live.size:
+            break
+        ndigits[live] = p
+    # round X to the shortest: up iff rem + f > q / 2 (ties were sent to repr)
+    q = _INT_POW10[17 - ndigits]
+    rem = whole % q
+    digits = whole - rem + q * (2 * rem + (f > 0.5) >= q)
+    certified &= digits < _INT_POW10[17]
+    return digits, e10, ndigits, certified
+
+
+# per float field: sign, "0", 17 digits, ".", 3 zeros, the same 17 digits
+_FLOAT_SLOTS = 40
+_FIELD_SLOTS = {name: _FLOAT_SLOTS if SUBJECT_DTYPE[name] == float else 1
+                for name in DATASET_CSV_HEADER.split(",")}
+_PLACE = np.arange(17, dtype=np.int8)[:, None]
+
+
+def _fill_float(buf, mask, v):
+    """Fill one float field's 40 slot rows and their selection mask.
+
+    Below 1 the field reads sign, "0", ".", -e10 - 1 zeros and the digits
+    from the second copy; from 1 up it reads sign, the first e10 + 1
+    digits, ".", then the rest from the second copy, or one zero for a
+    whole number. A value the kernel cannot certify is written by repr.
+    """
+    digits, e10, ndigits, certified = _shortest_digits(v)
+    e10, ndigits = e10.astype(np.int8), ndigits.astype(np.int8)
+    buf[0] = ord("-")
+    np.signbit(v, out=mask[0])
+    buf[1] = ord("0")
+    np.less(e10, 0, out=mask[1])
+    top = digits // _INT_POW10[8]
+    for half, first_slot, count in ((top, 2, 9), (digits - top * _INT_POW10[8], 11, 8)):
+        half = half.astype(np.uint32)
+        for slot in range(first_slot + count - 1, first_slot - 1, -1):
+            rest = half // 10
+            np.subtract(half, rest * 10, out=buf[slot], casting="unsafe")
+            half = rest
+    buf[2:19] += ord("0")
+    np.greater_equal(e10, _PLACE, out=mask[2:19])
+    buf[19] = ord(".")
+    mask[19] = True
+    buf[20:23] = ord("0")
+    zeros = np.where(e10 < 0, -1 - e10, ndigits <= e10 + 1)
+    np.greater(zeros, _PLACE[:3], out=mask[20:23])
+    buf[23:40] = buf[2:19]
+    np.logical_and(np.maximum(e10 + 1, 0) <= _PLACE, _PLACE < ndigits, out=mask[23:40])
+    for row in np.flatnonzero(~certified):
+        text = repr(float(v[row])).encode()
+        buf[:len(text), row] = np.frombuffer(text, dtype=np.uint8)
+        mask[:, row] = np.arange(_FLOAT_SLOTS) < len(text)
 
 
 def write_dataset_csv(ds, fh):
     """Write a cohort in the interchange layout to an open text handle.
 
-    Floats are written by repr, so the file parses back to the same
-    bits; indicators and treatments are written as 0/1.
+    Floats are written as repr writes them (shortest round-trip digits,
+    positional in [1e-4, 1e16)), so the file parses back to the same
+    bits; indicators and treatments are written as 0/1. A numpy kernel
+    computes the digits; a value it cannot certify is written by repr.
+    Each chunk fills one slots x rows byte matrix and a selection mask,
+    then compacts them in row order into one write.
     """
     fh.write(DATASET_CSV_HEADER + "\n")
-    names = DATASET_CSV_HEADER.split(",")
+    n_slots = sum(_FIELD_SLOTS.values()) + len(_FIELD_SLOTS)
+    rows = min(len(ds), CSV_CHUNK_ROWS)
+    buf = np.empty((n_slots, rows), dtype=np.uint8)
+    mask = np.empty((n_slots, rows), dtype=bool)
     for start in range(0, len(ds), CSV_CHUNK_ROWS):
         part = ds[start:start + CSV_CHUNK_ROWS]
-        fh.writelines(
-            f"{x1!r},{x2!r},{z1},{z2},{w1!r},{w2!r},{d1},{d2}\n"
-            for x1, x2, z1, z2, w1, w2, d1, d2 in zip(
-                *(part[name].tolist() for name in names)
-            )
-        )
+        b, m = buf[:, :len(part)], mask[:, :len(part)]
+        slot = 0
+        for i, (name, width) in enumerate(_FIELD_SLOTS.items()):
+            if width == 1:
+                np.add(part[name], ord("0"), out=b[slot], casting="unsafe")
+                m[slot] = True
+            else:
+                _fill_float(b[slot:slot + width], m[slot:slot + width], part[name])
+            slot += width
+            b[slot] = ord("\n" if i == len(_FIELD_SLOTS) - 1 else ",")
+            m[slot] = True
+            slot += 1
+        fh.write(str(b.T[m.T], "ascii"))

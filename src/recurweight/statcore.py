@@ -20,10 +20,16 @@ def expit(x):
     """Numerically stable inverse logit, 1 / (1 + exp(-x)).
 
     Accepts scalars or arrays; saturates to 0 or 1 at extreme inputs,
-    where exp(-x) overflows to inf without a warning.
+    where exp(-x) overflows to inf without a warning. Negate, exp, add
+    and divide share one output buffer, with the bits of the plain form.
     """
+    out = np.empty(np.shape(x))
+    np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out[()]
 
 
 @dataclass

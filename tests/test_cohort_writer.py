@@ -1,0 +1,193 @@
+"""The cohort writer's bytes: pinned `generate` dumps and the vectorized
+shortest-repr formatter checked against the f-string writer it replaced.
+
+`reference_write_dataset_csv` is a copy of that old writer, kept here
+as the reference: every float goes through `repr`, so any difference
+from it is a formatting bug, not a rounding choice.
+"""
+
+import hashlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recurweight import simgen
+from recurweight.cli import main as run_cli
+from recurweight.simgen import (
+    DATASET_CSV_HEADER,
+    SUBJECT_DTYPE,
+    config_for,
+    gen_dataset,
+    write_dataset_csv,
+)
+from recurweight.statcore import RngStream
+
+FLOAT_COLUMNS = ("x1", "x2", "w1", "w2")
+FLAG_COLUMNS = ("z1", "z2", "delta1", "delta2")
+
+
+def reference_write_dataset_csv(ds, fh):
+    """The row-by-row f-string writer: the bytes `write_dataset_csv` must match."""
+    fh.write(DATASET_CSV_HEADER + "\n")
+    names = DATASET_CSV_HEADER.split(",")
+    for start in range(0, len(ds), simgen.CSV_CHUNK_ROWS):
+        part = ds[start:start + simgen.CSV_CHUNK_ROWS]
+        fh.writelines(
+            f"{x1!r},{x2!r},{z1},{z2},{w1!r},{w2!r},{d1},{d2}\n"
+            for x1, x2, z1, z2, w1, w2, d1, d2 in zip(
+                *(part[name].tolist() for name in names)
+            )
+        )
+
+
+def written(writer, ds):
+    buf = io.StringIO()
+    writer(ds, buf)
+    return buf.getvalue()
+
+
+# sha256 of the stdout of `generate --n 3000 --target-hr 2 --seed 2027`,
+# recorded with the f-string writer; the drift scenarios' second gaps
+# include values below 1e-4, which repr writes in scientific notation
+GENERATE_DIGESTS = {
+    ("independent", None):
+        "a4bbbd61b8fc493bf63cc43dc80ed13439fb2902776c70572152369256335a75",
+    ("independent", "0.5"):
+        "23d2667ead1d5353956ef0ba6ecfc312ad30f3a178cf2daf7a9ad6ecb2ecae36",
+    ("tv-covariates", None):
+        "95b9d3a56c8e91c21eae45982fb5f85eb4051a70e87010fd70e98f4e53bd4bc1",
+    ("tv-covariates", "0.5"):
+        "39b56596489af4b77293a74da2c78113601ed37e8d690986bc6b224574ebb84e",
+    ("tv-treatment", None):
+        "1977193ede25603016c442236d76f099a383e1b74ec638e17f75ede5d9a273dc",
+    ("tv-treatment", "0.5"):
+        "ef86ab18b4dd6648cc109d17400b34f04d2e535603a4d47609dfad15c0372182",
+}
+
+
+@pytest.mark.parametrize("scenario,tau", sorted(GENERATE_DIGESTS, key=str))
+def test_generate_dump_matches_the_recorded_digest(capsys, scenario, tau):
+    argv = ["generate", "--scenario", scenario, "--n", "3000", "--target-hr", "2",
+            "--seed", "2027"]
+    if tau is not None:
+        argv += ["--tau", tau]
+    assert run_cli(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATE_DIGESTS[scenario, tau]
+    if scenario != "independent":
+        rows = [line.split(",") for line in text.splitlines()
+                if not line.startswith(("#", "x1"))]
+        assert any("e-05" in row[5] for row in rows)
+
+
+def cohort_from(floats, flags):
+    """A cohort whose four float columns take `floats` in row order."""
+    floats = np.asarray(floats, dtype=float).reshape(-1, len(FLOAT_COLUMNS))
+    ds = np.zeros(len(floats), dtype=SUBJECT_DTYPE)
+    for i, name in enumerate(FLOAT_COLUMNS):
+        ds[name] = floats[:, i]
+    for i, name in enumerate(FLAG_COLUMNS):
+        ds[name] = np.resize(np.asarray(flags, dtype=np.uint8), len(ds)) ^ (i & 1)
+    return ds
+
+
+def assert_writes_like_the_reference(values, flags=(0, 1, 1)):
+    values = np.resize(np.asarray(values, dtype=float), -(-len(values) // 4) * 4)
+    ds = cohort_from(values, flags)
+    got = written(write_dataset_csv, ds).splitlines()
+    want = written(reference_write_dataset_csv, ds).splitlines()
+    assert len(got) == len(want)
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, bad[:3]
+
+
+POWERS_OF_TWO = np.ldexp(1.0, np.arange(-20, 60))
+# the positional range's ends, the first whole numbers above 2^53 and
+# values whose 17th digit is an exact tie (repr rounds those half-even)
+BOUNDARIES = np.array([
+    1e16, 1e-4, 1e-5, 9999999999999998.0, 2.0**53 + 2, 2.0**53 + 6,
+    1234567890123456.25, 1234567890123456.75, 123456789012345.375, 0.1, 0.3,
+])
+EDGE_VALUES = np.concatenate([
+    [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308],
+    POWERS_OF_TWO,
+    BOUNDARIES,
+    np.nextafter(BOUNDARIES, 0.0),
+    np.nextafter(BOUNDARIES, np.inf),
+    np.nextafter(POWERS_OF_TWO, 0.0),
+    np.nextafter(POWERS_OF_TWO, np.inf),
+    np.arange(1, 64) / 2.0,
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(1e-4, 1e16),
+            st.sampled_from(EDGE_VALUES.tolist()),
+        ),
+        min_size=1,
+        max_size=48,
+    ),
+    st.lists(st.integers(0, 1), min_size=1, max_size=7),
+    st.booleans(),
+)
+def test_chunk_bytes_equal_the_reference_writer(values, flags, negate):
+    if negate:
+        values = [-x for x in values]
+    assert_writes_like_the_reference(values, flags)
+
+
+def test_edge_values_and_their_negatives_write_like_the_reference():
+    assert_writes_like_the_reference(np.concatenate([EDGE_VALUES, -EDGE_VALUES]))
+
+
+def test_short_decimals_and_their_neighbours_write_like_the_reference():
+    short = np.array([float(f"{d}e{x}") for d in range(1, 200, 3) for x in range(-6, 17)])
+    assert_writes_like_the_reference(
+        np.concatenate([short, np.nextafter(short, 0.0), np.nextafter(short, np.inf)])
+    )
+
+
+def test_random_bit_patterns_write_like_the_reference():
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    # random significands across repr's positional range and past both ends
+    scaled = np.ldexp(rng.random(100_000) + 0.5, rng.integers(-16, 57, 100_000))
+    assert_writes_like_the_reference(
+        np.concatenate([values[np.isfinite(values)], scaled, -scaled[:1000]])
+    )
+
+
+def test_the_kernel_leaves_what_it_cannot_certify_to_repr():
+    _, _, _, certified = simgen._shortest_digits(
+        np.concatenate([POWERS_OF_TWO, [0.0, -0.0, 5e-324, 9.9e-5, 1e16, np.inf, np.nan]])
+    )
+    assert not certified.any()
+    # exact ties at the 17th digit and exact interval edges above 2^53
+    _, _, _, certified = simgen._shortest_digits(
+        np.array([1234567890123456.75, 123456789012345.375, 2.0**53 + 18])
+    )
+    assert not certified.any()
+
+
+def test_cohort_values_are_almost_all_certified():
+    # the kernel, not repr, must format a generated cohort
+    ds = gen_dataset(config_for(3, 0.25, 20_000, beta_c=0.783), RngStream(7))
+    for name in FLOAT_COLUMNS:
+        _, _, _, certified = simgen._shortest_digits(ds[name])
+        assert certified.mean() > 0.99
+
+
+def test_chunked_dump_equals_the_reference_on_a_cohort(monkeypatch):
+    # 1,000 rows are not a multiple of the 96-row chunks
+    monkeypatch.setattr(simgen, "CSV_CHUNK_ROWS", 96)
+    ds = gen_dataset(config_for(2, 0.5, 1_000, beta_c=0.46, tau=0.5), RngStream(11))
+    assert written(write_dataset_csv, ds) == written(reference_write_dataset_csv, ds)
+    assert written(write_dataset_csv, ds[:0]) == DATASET_CSV_HEADER + "\n"

@@ -36,6 +36,25 @@ def test_sw1_rejects_degenerate_propensity():
         stabilized_weight_e1(1, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("z1", [0.5, 2.0, -1.0, np.nan])
+def test_sw1_rejects_non_binary_treatment(z1):
+    with pytest.raises(ValueError, match="z1 values must be 0 or 1"):
+        stabilized_weight_e1(z1, 0.4, 0.3)
+    with pytest.raises(ValueError, match="z1 values must be 0 or 1"):
+        stabilized_weight_e1(np.array([0.0, z1, 1.0]), np.full(3, 0.4), 0.3)
+
+
+@pytest.mark.parametrize("z1,z2", [(0.5, 1.0), (1.0, 2.0), (0.0, 0.5), (2.0, 0.0)])
+def test_sw2_rejects_non_binary_treatment(z1, z2):
+    p = np.array([[0.6, 0.15], [0.15, 0.1]])
+    name = "z1" if z1 not in (0.0, 1.0) else "z2"
+    with pytest.raises(ValueError, match=f"{name} values must be 0 or 1"):
+        stabilized_weight_e2(z1, z2, 0.5, 0.4, p)
+    with pytest.raises(ValueError, match=f"{name} values must be 0 or 1"):
+        stabilized_weight_e2(np.array([1.0, z1]), np.array([0.0, z2]),
+                             np.full(2, 0.5), np.full(2, 0.4), p)
+
+
 def test_sw2_matching_term():
     p = np.array([[0.6, 0.15], [0.15, 0.1]])
     assert stabilized_weight_e2(1, 1, 0.5, 0.4, p) == pytest.approx(0.5, abs=1e-15)

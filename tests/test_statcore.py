@@ -37,6 +37,27 @@ class TestExpit:
         x = np.array([-2.0, 0.0, 3.0])
         npt.assert_allclose(expit(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
 
+    def test_bits_equal_the_plain_form(self):
+        x = np.concatenate([[-800.0, 800.0, -710.0, 710.0, 0.0, -0.0],
+                            np.random.default_rng(5).normal(0.0, 20.0, 1_000)])
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(expit(x[:1000].reshape(10, -1)), want[:1000].reshape(10, -1))
+            for value, plain in zip(x[:6], want[:6]):
+                scalar = expit(float(value))
+                assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
+                assert scalar == plain and np.signbit(scalar) == np.signbit(plain)
+
+    def test_leaves_its_input_alone(self):
+        x = np.array([-1.0, 2.0])
+        expit(x)
+        assert np.array_equal(x, [-1.0, 2.0])
+
 
 class TestStreams:
     def test_determinism(self):
