@@ -113,8 +113,23 @@ ORACLE_DTYPE = np.dtype(
 
 
 def gen_gap_time(u, linear_predictor, rate=1.0):
-    """Inverse-transform exponential gap time, -log(u) / (rate e^lp)."""
-    return -np.log(u) / (rate * np.exp(linear_predictor))
+    """Inverse-transform exponential gap time, -log(u) / (rate e^lp).
+
+    Accepts scalars or arrays. A float array linear_predictor is
+    overwritten with the hazard e^lp * rate, and the log, negation and
+    division run in the one array returned, so the call holds two float
+    columns at its peak (the hazard and the times) while u is read where
+    it lies, e.g. in a cohort field; u itself is never written. The
+    times have the bits of the plain form.
+    """
+    hazard = np.asarray(linear_predictor, dtype=float)
+    np.exp(hazard, out=hazard)
+    hazard *= rate
+    time = np.empty(np.broadcast_shapes(np.shape(u), hazard.shape))
+    np.log(u, out=time)
+    np.negative(time, out=time)
+    time /= hazard
+    return time[()]
 
 
 def _base_draws(config, stream):
@@ -126,40 +141,76 @@ def _base_draws(config, stream):
     return x1, z_uniform, u1, u2
 
 
+# rows per block of gen_dataset's derived columns: a block of records and
+# its temporaries stay in cache while the block's columns are computed
+GEN_BLOCK_ROWS = 16_384
+
+
+def _row_blocks(n):
+    return (slice(start, start + GEN_BLOCK_ROWS) for start in range(0, n, GEN_BLOCK_ROWS))
+
+
+def _linear_predictor(slope, x, intercept=None, coef=None, z=None):
+    """slope x, then + intercept, then + coef z, summed in one float buffer."""
+    lp = slope * x
+    if intercept is not None:
+        lp += intercept
+    if z is not None:
+        lp += coef * z
+    return lp
+
+
+def _assign_treatment(ds, name, stream, linear_predictor):
+    """Draw n uniforms U and write [U < expit(lp)] into the uint8 field
+    `name`, block by block; linear_predictor(block) builds a block's lp."""
+    uniform = draw_uniform(stream, len(ds))
+    for rows in _row_blocks(len(ds)):
+        block = ds[rows]
+        np.less(uniform[rows], expit(linear_predictor(block)), out=block[name])
+
+
 def gen_dataset(config, stream):
-    """Generate one cohort as a structured array of subject records."""
+    """Generate one cohort as a structured array of subject records.
+
+    The array is allocated first and each draw is written into it as
+    soon as it is made, in draw order: x1 (also into x2); the treatment
+    uniform, consumed at once into z1; u1 and u2, held in the w1 and w2
+    fields; the drift, added into x2; the second treatment uniform,
+    consumed into z2. Then the gap times overwrite u1 and u2. Treatments,
+    gap times and censoring indicators are computed in blocks of
+    GEN_BLOCK_ROWS rows, each linear predictor in one float buffer. So
+    the peak memory is the cohort plus one drawn float column and its
+    zero mask: 45 bytes per subject, 36 of them the cohort. Each element
+    takes the operations of the whole-column formulas in their order,
+    e.g. w1 = -log(u1) / (rate exp(beta1 x1 + beta_c z1)), so the bytes
+    do not depend on the block size.
+    """
     c = config
     n = c.n_subjects
-    x1, z_uniform, u1, u2 = _base_draws(c, stream)
-    z1 = (z_uniform < expit(c.alpha0 + c.alpha1 * x1)).astype(np.uint8)
-
-    if c.scenario is Scenario.IndependentGaps:
-        x2 = x1
-        z2 = z1
-    else:
-        v = draw_normal(stream, 0.0, c.drift_sd, n)
-        x2 = x1 + v
-        if c.scenario is Scenario.TVCovariates:
-            z2 = z1
-        else:
-            z2_uniform = draw_uniform(stream, n)
-            z2 = (z2_uniform < expit(c.gamma0 + c.gamma1 * x2 + c.gamma2 * z1)).astype(
-                np.uint8
-            )
-
-    w1 = gen_gap_time(u1, c.beta_c * z1 + c.beta1 * x1, c.baseline_rate)
-    w2 = gen_gap_time(u2, c.beta_c * z2 + c.beta1 * x2, c.baseline_rate)
-
     ds = np.empty(n, dtype=SUBJECT_DTYPE)
-    ds["x1"], ds["x2"] = x1, x2
-    ds["z1"], ds["z2"] = z1, z2
-    ds["w1"], ds["w2"] = w1, w2
-    if c.tau is None:
-        ds["delta1"] = 1
-        ds["delta2"] = 1
+    ds["x1"] = ds["x2"] = draw_normal(stream, 0.0, 1.0, n)
+    _assign_treatment(ds, "z1", stream, lambda b: _linear_predictor(c.alpha1, b["x1"], c.alpha0))
+    ds["w1"] = draw_uniform(stream, n)
+    ds["w2"] = draw_uniform(stream, n)
+    if c.scenario is not Scenario.IndependentGaps:
+        ds["x2"] += draw_normal(stream, 0.0, c.drift_sd, n)
+    if c.scenario is Scenario.TVTreatmentCovariates:
+        _assign_treatment(ds, "z2", stream, lambda b: _linear_predictor(
+            c.gamma1, b["x2"], c.gamma0, c.gamma2, b["z1"]))
     else:
-        ds["delta1"] = w1 <= c.tau
-        ds["delta2"] = (w1 + w2) <= c.tau
+        ds["z2"] = ds["z1"]
+
+    for rows in _row_blocks(n):
+        b = ds[rows]
+        for w, x, z in (("w1", "x1", "z1"), ("w2", "x2", "z2")):
+            lp = _linear_predictor(c.beta1, b[x], coef=c.beta_c, z=b[z])
+            b[w] = gen_gap_time(b[w], lp, c.baseline_rate)
+        if c.tau is None:
+            b["delta1"] = 1
+            b["delta2"] = 1
+        else:
+            b["delta1"] = b["w1"] <= c.tau
+            b["delta2"] = (b["w1"] + b["w2"]) <= c.tau
     return ds
 
 

@@ -66,6 +66,8 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["simulate", "--target-hr", "0.8"]) == 2
     assert run_cli(["calibrate", "--targets", "nan"]) == 2
     assert run_cli(["generate", "--target-hr", "inf"]) == 2
+    assert run_cli(["generate", "--n", "1"]) == 2
+    assert run_cli(["simulate", "--n", "1"]) == 2
     capsys.readouterr()
 
 

@@ -1,7 +1,10 @@
 """Generator tests: distributional checks against known closed forms,
-draw-order alignment across scenarios, and censoring-indicator logic."""
+draw-order alignment across scenarios, censoring-indicator logic, and
+the generator's pinned bytes, draw order and peak memory."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from scipy import stats
 
 from recurweight import simgen
 from recurweight.simgen import (
+    ALPHA0_BY_PREVALENCE,
     DATASET_CSV_HEADER,
+    GAMMA0_BY_PREVALENCE,
     LN15,
     Scenario,
     ScenarioConfig,
@@ -181,3 +186,148 @@ def test_csv_roundtrip(tmp_path, monkeypatch):
         assert np.array_equal(back[col], ds[col])
     for col in ("z1", "z2", "delta1", "delta2"):
         assert np.array_equal(back[col].astype(np.uint8), ds[col])
+
+
+# sha256 of gen_dataset(...).tobytes() for a config away from the defaults
+# the writer digests use: 50% prevalence, a baseline rate and drift sd
+# other than 1 and 4, a nonzero effect and censoring at tau = 0.5
+NON_DEFAULT_DIGESTS = {
+    1: "1a56a0e2c6aec638f871b8410db1cefe9bd1aa2a77ddbe9208ba6a1274a94d89",
+    2: "f49f24b73ae51de6a83eaaa25b124a4fc812fd9540d44992c427c0815927eb08",
+    3: "a7816bfb0afdb01de9f9b1c613ab45e63b1708d8213f3f77a1be381848f26d30",
+}
+
+
+def non_default_config(scenario, n_subjects=5_000):
+    return ScenarioConfig(
+        scenario=scenario,
+        n_subjects=n_subjects,
+        alpha0=ALPHA0_BY_PREVALENCE[0.5],
+        gamma0=GAMMA0_BY_PREVALENCE[0.5],
+        beta_c=0.46,
+        baseline_rate=2.5,
+        drift_sd=2.0,
+        tau=0.5,
+    )
+
+
+@pytest.mark.parametrize("scenario", sorted(NON_DEFAULT_DIGESTS))
+def test_dataset_bytes_match_the_recorded_digest(scenario):
+    ds = gen_dataset(non_default_config(scenario), RngStream(2029, 7))
+    assert hashlib.sha256(ds.tobytes()).hexdigest() == NON_DEFAULT_DIGESTS[scenario]
+
+
+@pytest.mark.parametrize("tau", [None, 0.5])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_dataset_peak_memory_stays_near_the_cohort(scenario, tau):
+    # the cohort is 36 bytes per subject; on top of it generation may hold
+    # about two float columns and a draw's zero mask, never every column
+    n = 200_000
+    cfg = config_for(scenario, 0.25, n, beta_c=0.7, tau=tau)
+    tracemalloc.start()
+    try:
+        ds = gen_dataset(cfg, RngStream(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.nbytes == 36 * n
+    assert peak <= 60 * n, f"{peak / n:.1f} bytes per subject"
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_dataset_bytes_do_not_depend_on_the_block_size(scenario, monkeypatch):
+    # 50 rows are one past a boundary of 7-row blocks
+    cfg = non_default_config(scenario, 50)
+    whole = gen_dataset(cfg, RngStream(45))
+    monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 7)
+    assert gen_dataset(cfg, RngStream(45)).tobytes() == whole.tobytes()
+
+
+class ZeroingGenerator:
+    """A stream's generator whose k-th `random` call returns exact zeros
+    at the given positions; everything else passes through."""
+
+    def __init__(self, gen, zeros_by_call):
+        self._gen = gen
+        self.zeros_by_call = zeros_by_call
+        self.calls = 0
+
+    def random(self, size=None):
+        u = self._gen.random(size)
+        for i in self.zeros_by_call.get(self.calls, ()):
+            u[i] = 0.0
+        self.calls += 1
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_draw_uniform_replaces_zeros_from_the_stream_in_order():
+    stream = RngStream(41)
+    # call 0 draws 10 values with zeros at 2 and 7; the redraw of those two
+    # (call 1) comes back with a zero in its second place, so position 7
+    # is drawn a third time (call 2)
+    stream._gen = ZeroingGenerator(stream._gen, {0: [2, 7], 1: [1]})
+    u = draw_uniform(stream, 10)
+    assert stream._gen.calls == 3
+    assert np.all(u > 0.0)
+    fresh = RngStream(41)._gen
+    expected = fresh.random(10)
+    expected[2] = fresh.random(2)[0]
+    expected[7] = fresh.random(1)[0]
+    assert np.array_equal(u, expected)
+
+
+def test_draw_uniform_redraws_a_zero_scalar():
+    class ScalarZero(ZeroingGenerator):
+        def random(self, size=None):
+            self.calls += 1
+            return 0.0 if self.calls == 1 else self._gen.random(size)
+
+    stream = RngStream(42)
+    stream._gen = ScalarZero(stream._gen, {})
+    u = draw_uniform(stream)
+    assert stream._gen.calls == 2
+    assert u == RngStream(42)._gen.random()
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_dataset_draw_order(scenario):
+    # zeros in the treatment uniform (call 0) and in u1 (call 2) are
+    # redrawn at once, before the next column is drawn
+    n = 1_000
+    cfg = non_default_config(scenario, n)
+    stream = RngStream(43)
+    stream._gen = ZeroingGenerator(stream._gen, {0: [3, 5], 2: [11]})
+    ds = gen_dataset(cfg, stream)
+
+    fresh = RngStream(43)._gen
+    x1 = fresh.normal(0.0, 1.0, n)
+    fresh.random(n)
+    fresh.random(2)
+    u1 = fresh.random(n)
+    u1[11] = fresh.random(1)[0]
+    u2 = fresh.random(n)
+    if scenario != 1:
+        v = fresh.normal(0.0, cfg.drift_sd, n)
+    if scenario == 3:
+        fresh.random(n)
+    assert stream._gen.bit_generator.state == fresh.bit_generator.state
+
+    # and each draw went to its own column
+    assert np.array_equal(ds["x1"], x1)
+    assert np.array_equal(ds["x2"], x1 if scenario == 1 else x1 + v)
+    for w, x, z, u in (("w1", "x1", "z1", u1), ("w2", "x2", "z2", u2)):
+        hazard = cfg.baseline_rate * np.exp(cfg.beta_c * ds[z] + cfg.beta1 * ds[x])
+        assert np.allclose(np.exp(-ds[w] * hazard), u, rtol=1e-12, atol=0)
+
+
+def test_gap_time_matches_the_plain_form_and_leaves_u():
+    u = draw_uniform(RngStream(44), 100)
+    lp = np.linspace(-1.0, 1.0, 100)
+    expected = -np.log(u) / (2.5 * np.exp(lp))
+    u_before = u.copy()
+    times = gen_gap_time(u, lp, 2.5)
+    assert np.array_equal(times, expected)
+    assert np.array_equal(u, u_before)
