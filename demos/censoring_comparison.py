@@ -161,13 +161,13 @@ def one_replicate(tau, rep):
 
     out = {}
 
-    # risk-set: everyone past their first event, total-time scale
-    obs = ds["delta1"] == 1
+    # risk-set: everyone past their first event, total-time scale (sw2
+    # is zero where the first event was censored, as in the harness)
     out["risk-set"] = SurvivalSample(
-        time=np.minimum(ds["w1"] + ds["w2"], tau)[obs],
-        event=ds["delta2"][obs].astype(float),
-        treatment=z2[obs],
-        weight=wts.sw2[obs],
+        time=np.minimum(ds["w1"] + ds["w2"], tau),
+        event=ds["delta2"],
+        treatment=z2,
+        weight=wts.sw2,
     )
 
     # complete-case: fully observed second gaps only

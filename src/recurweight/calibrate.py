@@ -171,7 +171,7 @@ def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
     return float(beta)
 
 
-def _bisect(func, lo, hi, tolerance, max_iter=_MAX_BISECT_ITER):
+def _bisect(func, lo, hi, tolerance):
     """Root of a monotone increasing func, to |func(x)| <= tolerance.
 
     Bracketed secant (Illinois regula falsi): each step takes the
@@ -192,7 +192,7 @@ def _bisect(func, lo, hi, tolerance, max_iter=_MAX_BISECT_ITER):
     if abs(f_hi) <= tolerance:
         return hi, f_hi
     moved = 0  # which end moved last: -1 lo, +1 hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECT_ITER):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -210,13 +210,13 @@ def _bisect(func, lo, hi, tolerance, max_iter=_MAX_BISECT_ITER):
                 f_lo *= 0.5
             moved = 1
     raise RuntimeError(
-        f"root search exhausted after {max_iter} steps; the function is "
+        f"root search exhausted after {_MAX_BISECT_ITER} steps; the function is "
         "probably not continuous at its root, or the tolerance is below "
         "its rounding error"
     )
 
 
-def calibrate_beta_c(target_beta_m1, tolerance=SOLVE_TOLERANCE):
+def calibrate_beta_c(target_beta_m1):
     """Solve for the conditional log HR hitting a marginal target.
 
     Marginal effects are attenuated relative to conditional ones here,
@@ -228,17 +228,17 @@ def calibrate_beta_c(target_beta_m1, tolerance=SOLVE_TOLERANCE):
     if target_beta_m1 < 0:
         raise ValueError("target must be nonnegative")
     if target_beta_m1 == 0.0:
-        return CalibrationEntry(0.0, 0.0, 0.0, 0.0, tolerance)
+        return CalibrationEntry(0.0, 0.0, 0.0, 0.0, SOLVE_TOLERANCE)
 
     def gap(beta_c):
         return marginal_hr_oracle(beta_c, 1) - target_beta_m1
 
     lo, hi = target_beta_m1, 2.0 * target_beta_m1 + 0.5
-    beta_c, residual = _bisect(gap, lo, hi, tolerance)
+    beta_c, residual = _bisect(gap, lo, hi, SOLVE_TOLERANCE)
     return CalibrationEntry(
         beta_m1=target_beta_m1,
         beta_c=beta_c,
         beta_m2=marginal_hr_oracle(beta_c, 2),
         achieved_beta_m1=target_beta_m1 + residual,
-        tolerance=tolerance,
+        tolerance=SOLVE_TOLERANCE,
     )

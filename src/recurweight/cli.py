@@ -394,7 +394,7 @@ def _cmd_simulate(manifest):
                 "ase": summary.ase,
                 "ese": summary.ese,
                 "rse": summary.rse,
-                "n": summary.n_subjects,
+                "n": manifest.n_subjects,
                 "reps": summary.n_reps,
                 "seed": manifest.master_seed,
                 "failed": summary.n_failed,

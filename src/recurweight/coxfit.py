@@ -6,8 +6,7 @@ likelihood (Breslow convention for ties). Every row is one subject.
 Two variances are provided: the naive inverse observed information,
 and the robust sandwich built from per-row score residuals (Lin & Wei
 1989), which stays valid under case weights, where the naive variance
-does not. The sandwich is skipped when the caller needs only the
-point estimate.
+does not.
 
 Because z is binary, every risk-set sum factors through two sums that
 do not depend on beta (Therneau & Grambsch 2000, Modeling Survival
@@ -81,7 +80,6 @@ class CoxFit:
     naive_se: float
     robust_se: float
     n_iter: int
-    converged: bool
 
 
 _MAX_ITER = 50
@@ -215,7 +213,7 @@ def _loglik_at(beta, arms):
     return beta * arms.d1 - np.sum(arms.w * np.log(s0)), s0, s1
 
 
-def fit_weighted_cox(sample, robust=True):
+def fit_weighted_cox(sample):
     """Newton-Raphson maximizer of the weighted partial likelihood.
 
     The fit sorts the sample once and takes the beta-free arm sums
@@ -226,8 +224,10 @@ def fit_weighted_cox(sample, robust=True):
     allowance max(1e-12, 1e-10 |loglik|); when 10 halvings find no
     such point, the step is kept only if it passes the convergence test.
 
-    robust=False skips the sandwich variance and reports robust_se as
-    nan; log_hr, naive_se and n_iter do not depend on it.
+    Returns the estimate with both its naive and its sandwich standard
+    error. Rows with zero weight drop out of the fit, which is how a
+    caller excludes subjects that are not at risk. Every fit that
+    returns has converged; every failure raises.
 
     Raises MonotoneLikelihoodError when the likelihood has no finite
     maximum (no treated event with control weight at risk, or no
@@ -288,18 +288,12 @@ def fit_weighted_cox(sample, robust=True):
     if info <= 0.0:
         raise MonotoneLikelihoodError("nonpositive information at the optimum")
     naive_se = 1.0 / np.sqrt(info)
-    if robust:
-        robust_se = float(np.sqrt(
-            robust_variance(rs, arms, beta, s0, m, info)
-        ))
-    else:
-        robust_se = float("nan")
+    robust_se = np.sqrt(robust_variance(rs, arms, beta, s0, m, info))
     return CoxFit(
         log_hr=float(beta),
         naive_se=float(naive_se),
-        robust_se=robust_se,
+        robust_se=float(robust_se),
         n_iter=it,
-        converged=converged,
     )
 
 

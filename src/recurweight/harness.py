@@ -9,8 +9,9 @@ Censored runs analyze risk sets rather than complete cases: every
 subject whose previous event was observed enters the fit, carrying
 the event indicator for the current event, with follow-up truncated
 at the boundary tau. The second-event fit runs on the total-time
-scale, min(w1 + w2, tau), over subjects with delta1 = 1, weighted by
-the treatment weights. Inverse-censoring weights are deliberately not
+scale, min(w1 + w2, tau); a subject whose first event was censored
+is not at risk for it and carries second-event weight 0, which drops
+it from that fit. Inverse-censoring weights are deliberately not
 part of this pipeline: the completion models sit on a heavy-tailed
 covariate, and their weights are unstable enough to dominate the fit
 (see the censoring demo for the comparison).
@@ -52,7 +53,6 @@ class ReplicateResult:
     beta_hat: tuple
     naive_se: tuple
     robust_se: tuple
-    replicate_seed: int
     diagnostics: dict = field(default_factory=dict)
     failed: bool = False
 
@@ -67,7 +67,6 @@ class SummaryRow:
     ase: float
     ese: float
     rse: float
-    n_subjects: int
     n_reps: int
     n_failed: int
     # percentage bias is undefined against a null truth; such rows
@@ -76,72 +75,53 @@ class SummaryRow:
     ese_centered: float = float("nan")
 
 
-def _derived_seed(master_seed, replicate_index):
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate_index,))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def _fit(time, event, treatment, weight):
     return fit_weighted_cox(SurvivalSample(time, event, treatment, weight))
 
 
 def run_replicate(config, master_seed, replicate_index=0):
     """One full generate/weight/fit pass; failures are flagged, not raised."""
-    seed_id = _derived_seed(master_seed, replicate_index)
     try:
-        return _run_replicate_inner(config, master_seed, replicate_index, seed_id)
+        return _run_replicate_inner(config, master_seed, replicate_index)
     except _REPLICATE_FAILURES as exc:
         nans = (float("nan"), float("nan"))
         return ReplicateResult(
             nans, nans, nans,
-            replicate_seed=seed_id,
             diagnostics={"failure": f"{type(exc).__name__}: {exc}"},
             failed=True,
         )
 
 
-def _run_replicate_inner(config, master_seed, replicate_index, seed_id):
+def _run_replicate_inner(config, master_seed, replicate_index):
     ds = gen_dataset(config, RngStream(master_seed, replicate_index))
     tw = build_treatment_weights(ds, config.scenario)
-    n = len(ds)
 
     diagnostics = {
         "prevalence_z1": float(ds["z1"].mean()),
         "prevalence_z2": float(ds["z2"].mean()),
         "sw1_mean": float(tw.sw1.mean()),
         "sw1_max": float(tw.sw1.max()),
-        "sw2_mean": float(tw.sw2.mean()),
+        # over the rows the second-event fit keeps: sw2 is 0 elsewhere
+        "sw2_mean": float(tw.sw2.sum() / np.count_nonzero(ds["delta1"])),
         "sw2_max": float(tw.sw2.max()),
     }
 
     if config.tau is None:
-        fit1 = _fit(ds["w1"], np.ones(n), ds["z1"], tw.sw1)
-        fit2 = _fit(ds["w2"], np.ones(n), ds["z2"], tw.sw2)
+        time1, time2 = ds["w1"], ds["w2"]
     else:
         diagnostics["censored_frac_event1"] = float(1.0 - ds["delta1"].mean())
         diagnostics["censored_frac_event2"] = float(1.0 - ds["delta2"].mean())
         diagnostics["censored_analysis"] = "risk-set"
         diagnostics["weight_models"] = "observed-rows"
-        fit1 = _fit(
-            np.minimum(ds["w1"], config.tau),
-            ds["delta1"],
-            ds["z1"],
-            tw.sw1,
-        )
-        at_risk = ds["delta1"] == 1
-        sub = ds[at_risk]
-        fit2 = _fit(
-            np.minimum(sub["w1"] + sub["w2"], config.tau),
-            sub["delta2"],
-            sub["z2"],
-            tw.sw2[at_risk],
-        )
+        time1 = np.minimum(ds["w1"], config.tau)
+        time2 = np.minimum(ds["w1"] + ds["w2"], config.tau)
+    fit1 = _fit(time1, ds["delta1"], ds["z1"], tw.sw1)
+    fit2 = _fit(time2, ds["delta2"], ds["z2"], tw.sw2)
 
     return ReplicateResult(
         beta_hat=(fit1.log_hr, fit2.log_hr),
         naive_se=(fit1.naive_se, fit2.naive_se),
         robust_se=(fit1.robust_se, fit2.robust_se),
-        replicate_seed=seed_id,
         diagnostics=diagnostics,
     )
 
@@ -188,7 +168,6 @@ def summarize(results, truth, event):
         ase=float(np.mean(naive)),
         ese=ese,
         rse=float(np.mean(robust)),
-        n_subjects=0,
         n_reps=len(results),
         n_failed=len(results) - r,
         bias_is_absolute=absolute,
@@ -244,9 +223,4 @@ def run_simulation(config, truth, n_reps, master_seed):
 
     if config.scenario is Scenario.IndependentGaps:
         truth = replace(truth, beta_m2=truth.beta_m1)
-    rows = []
-    for event in (1, 2):
-        row = summarize(results, truth, event)
-        row.n_subjects = config.n_subjects
-        rows.append(row)
-    return tuple(rows)
+    return tuple(summarize(results, truth, event) for event in (1, 2))

@@ -7,15 +7,16 @@ third scenario adds a second model of z2 on (x2, z1) and a joint
 numerator table p_ij = P(Z1=i, Z2=j). When treatment never changes
 (scenarios 1 and 2) the second-event weight equals the first-event
 weight, because the conditional factor P(Z2=z2 | Z1=z1) is 1 in both
-numerator and denominator; we return sw1 directly instead of pushing
-e2 = e1 through the four-term formula, which would be wrong.
+numerator and denominator; sw2 is sw1 itself rather than e2 = e1
+pushed through the four-term formula, which would be wrong.
 
-Under administrative censoring the second-event columns (x2, z2) are
-only seen for subjects whose first event was observed, so the second
-propensity model and the joint table are fit on the delta1 = 1 rows
-and predictions extended to everyone. Baseline columns are complete,
-so the first model always uses the full sample. With no first event
-censored, the second model's fitted probabilities are the predictions.
+Under administrative censoring a subject whose first event was
+censored is not at risk for the second, and its second-event columns
+(x2, z2) are never seen. The second propensity model and the joint
+table are fit on the delta1 = 1 rows, and sw2 is 0 on every other row
+in all three scenarios, which drops those rows from the second-event
+fit. Baseline columns are complete, so the first model always uses the
+full sample.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simgen import Scenario
-from .statcore import expit, fit_logistic
+from .statcore import fit_logistic
 
 
 class WeightModelError(RuntimeError):
@@ -106,9 +107,9 @@ def _converged_fit(design, response, label):
 def build_treatment_weights(dataset, scenario):
     """Fit the scenario's propensity models and return per-subject weights.
 
-    Second-event model and joint table use the rows whose first event
-    was observed (all rows when nothing is censored); predictions cover
-    the full sample.
+    The second-event model and joint table use the rows whose first
+    event was observed (all rows when nothing is censored); sw2 is 0
+    on the rows whose first event was censored.
     """
     scenario = Scenario(scenario)
     n = len(dataset)
@@ -123,29 +124,19 @@ def build_treatment_weights(dataset, scenario):
     if scenario is not Scenario.TVTreatmentCovariates:
         # fixed treatment: conditional second factor is identically 1
         p_joint = np.array([[1.0 - p1, 0.0], [0.0, p1]])
-        return TreatmentWeights(sw1, sw1.copy(), p1, p_joint)
+        return TreatmentWeights(sw1, sw1 * dataset["delta1"], p1, p_joint)
 
     z2 = np.asarray(dataset["z2"], dtype=float)
     design = np.column_stack([np.ones(n), dataset["x2"], z1])
-    observed = np.asarray(dataset["delta1"], dtype=bool)
-    censored = not observed.all()
-    rows = observed if censored else slice(None)
+    observed = dataset["delta1"] == 1
+    rows = slice(None) if observed.all() else observed
     fit2 = _converged_fit(design[rows], z2[rows], "second propensity")
-    e2 = expit(design @ fit2.coefficients) if censored else fit2.fitted_probabilities
     # cell 2 z1 + z2 of the joint table, counted over the fit's rows
-    cells = 2 * dataset["z1"][rows] + dataset["z2"][rows]
+    cells = 2 * dataset["z1"][rows]
+    cells += dataset["z2"][rows]
     p_joint = (np.bincount(cells, minlength=4) / len(cells)).reshape(2, 2)
-    if not censored:
-        sw2 = stabilized_weight_e2(z1, z2, e1, e2, p_joint)
-        return TreatmentWeights(sw1, sw2, p1, p_joint)
-
-    # a censored row with a saturated e2 prediction is unusable but
-    # harmless (it never enters a second-event fit); give it weight 0
-    # instead of failing the whole build. On observed rows saturation
-    # is a genuine positivity failure and still raises.
-    valid = (e2 > 0.0) & (e2 < 1.0)
-    if not np.all(valid[observed]):
-        raise ValueError("e2 must lie strictly in (0, 1)")
     sw2 = np.zeros(n)
-    sw2[valid] = stabilized_weight_e2(z1[valid], z2[valid], e1[valid], e2[valid], p_joint)
+    sw2[rows] = stabilized_weight_e2(
+        z1[rows], z2[rows], e1[rows], fit2.fitted_probabilities, p_joint
+    )
     return TreatmentWeights(sw1, sw2, p1, p_joint)

@@ -4,6 +4,7 @@ Full-scale runs belong to the acceptance suite; these check parsing,
 the pinned output schemas, provenance embedding, and exit codes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -195,6 +196,35 @@ def test_reruns_are_byte_identical(tmp_path):
     strip = lambda p: [l for l in p.read_text().splitlines()
                        if not l.startswith("# output_path:")]
     assert strip(a) == strip(b)
+
+
+# sha256 of the stdout of `simulate --n 3000 --reps 24 --target-hr 1.5,2
+# --seed 99`, recorded when the second-event fit of a censored run took
+# the delta1 = 1 rows as a subset rather than giving the others zero weight
+CENSORED_SIMULATE_DIGESTS = {
+    ("independent", "0.5"):
+        "98674444b3cb79dcc5ef25475ce999e734bba9e174df3dbdf4a0c63c03c6463a",
+    ("independent", "0.25"):
+        "c720d356c096a50b60130c5bf1ac625f3b44dcf602d215070dee7b98db91e035",
+    ("tv-covariates", "0.5"):
+        "da55e563de071b23ea0ee091d04f0958bb573f2158665170a7fb127004b4b196",
+    ("tv-covariates", "0.25"):
+        "57a608ad5be1eb36ef7ae020d6e101a43e74d63bf5fc4ad5712b486534244d13",
+    ("tv-treatment", "0.5"):
+        "882cfe8896264389069bf67717207b5652787a67a053bd5767fc052a1bea9e22",
+    ("tv-treatment", "0.25"):
+        "f04b8f33e811fece3e44f40b5310cfb1cbcd406e14d03cd2bea04dac51eacd83",
+}
+
+
+@pytest.mark.parametrize("scenario,tau", sorted(CENSORED_SIMULATE_DIGESTS))
+def test_censored_simulate_matches_the_recorded_digest(capsys, scenario, tau):
+    argv = ["simulate", "--scenario", scenario, "--tau", tau, "--n", "3000",
+            "--reps", "24", "--target-hr", "1.5,2", "--seed", "99"]
+    assert run_cli(argv) == 0
+    text = capsys.readouterr().out
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == CENSORED_SIMULATE_DIGESTS[scenario, tau]
 
 
 def test_generate_schema_and_determinism(tmp_path):

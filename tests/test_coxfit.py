@@ -111,7 +111,6 @@ class TestFitWeightedCox:
         fit = fit_weighted_cox(THREE)
         # score equation reduces to 2 e^{2 beta} = 1
         npt.assert_allclose(fit.log_hr, -0.5 * np.log(2.0), atol=1e-4)
-        assert fit.converged
         assert fit.naive_se > 0 and fit.robust_se > 0
 
     def test_no_contrast_rejected(self):
@@ -219,21 +218,6 @@ class TestFitWeightedCox:
         fit = fit_weighted_cox(make_sample(t, np.ones(n), z))
         npt.assert_allclose(fit.log_hr, beta, atol=3 * fit.naive_se)
 
-    def test_robust_flag_leaves_estimate_unchanged(self):
-        rng = RngStream(85)
-        n = 300
-        t = draw_uniform(rng, n)
-        z = (draw_uniform(rng, n) < 0.5).astype(float)
-        d = (draw_uniform(rng, n) < 0.9).astype(float)
-        w = 0.5 + draw_uniform(rng, n)
-        s = make_sample(t, d, z, w)
-        full = fit_weighted_cox(s)
-        bare = fit_weighted_cox(s, robust=False)
-        assert bare.log_hr == full.log_hr
-        assert bare.naive_se == full.naive_se
-        assert bare.n_iter == full.n_iter
-        assert np.isnan(bare.robust_se) and np.isfinite(full.robust_se)
-
     def test_exhausted_halving_without_convergence_raises(self, monkeypatch):
         # every trial step lowers the likelihood by far more than
         # rounding, so step-halving can never restore ascent
@@ -285,7 +269,7 @@ class TestFitWeightedCox:
             return real_loglik(beta, *args)
 
         monkeypatch.setattr(coxfit, "_loglik_at", counting_loglik)
-        fit = fit_weighted_cox(sample, robust=False)
+        fit = fit_weighted_cox(sample)
         assert fit.n_iter <= 6
         assert len(evaluations) == fit.n_iter + 1
 
@@ -302,7 +286,7 @@ class TestFitWeightedCox:
             (draw_uniform(rng, n) < 0.5).astype(float),
             0.5 + draw_uniform(rng, n),
         )
-        clean = fit_weighted_cox(s, robust=False)
+        clean = fit_weighted_cox(s)
         real = coxfit._loglik_at
         previous = []
 
@@ -314,7 +298,7 @@ class TestFitWeightedCox:
             return loglik, s0, s1
 
         monkeypatch.setattr(coxfit, "_loglik_at", noisy)
-        fit = fit_weighted_cox(s, robust=False)
+        fit = fit_weighted_cox(s)
         assert len(previous) == fit.n_iter + 1
         assert fit.n_iter == clean.n_iter
         assert fit.log_hr == clean.log_hr

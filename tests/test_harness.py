@@ -21,7 +21,9 @@ from recurweight.harness import (
     run_simulation,
     summarize,
 )
-from recurweight.simgen import config_for
+from recurweight.iptw import build_treatment_weights
+from recurweight.simgen import config_for, gen_dataset
+from recurweight.statcore import RngStream
 
 TRUTH_LN2 = lookup_calibration(2.0)
 
@@ -31,7 +33,6 @@ def make_result(b1=0.4, b2=0.2, failed=False):
         beta_hat=(b1, b2),
         naive_se=(0.02, 0.03),
         robust_se=(0.025, 0.035),
-        replicate_seed=1,
         failed=failed,
     )
 
@@ -106,11 +107,10 @@ def test_replicate_deterministic():
     assert a == b
 
 
-def test_replicate_seeds_distinct():
+def test_replicate_indices_give_distinct_estimates():
     cfg = config_for(1, 0.25, 1_500)
-    seeds = {run_replicate(cfg, 42, i).replicate_seed for i in range(5)}
-    assert len(seeds) == 5
-    assert all(isinstance(s, int) for s in seeds)
+    estimates = {run_replicate(cfg, 42, i).beta_hat for i in range(5)}
+    assert len(estimates) == 5
 
 
 def test_replicate_censored_diagnostics():
@@ -121,6 +121,11 @@ def test_replicate_censored_diagnostics():
     assert r.diagnostics["weight_models"] == "observed-rows"
     assert 0.2 < r.diagnostics["censored_frac_event1"] < 0.45
     assert r.diagnostics["censored_frac_event2"] > r.diagnostics["censored_frac_event1"]
+    # sw2 is 0 where the first event was censored; the mean skips those rows
+    ds = gen_dataset(cfg, RngStream(7, 1))
+    sw2 = build_treatment_weights(ds, 3).sw2[ds["delta1"] == 1]
+    assert r.diagnostics["sw2_mean"] == pytest.approx(sw2.mean(), rel=1e-12)
+    assert r.diagnostics["sw2_max"] == sw2.max()
     for v in (*r.beta_hat, *r.robust_se):
         assert np.isfinite(v)
 
@@ -158,13 +163,12 @@ def test_simulation_matches_published_spread():
     # estimates center on 0.3551 with replicate spread near 0.0636
     truth = TRUTH_LN2
     cfg = config_for(3, 0.5, 10_000, beta_c=truth.beta_c)
-    row1, row2 = run_simulation(cfg, truth, 40, 626)
+    _, row2 = run_simulation(cfg, truth, 40, 626)
     assert row2.true_beta_m == pytest.approx(0.3551)
     assert row2.true_hr == pytest.approx(1.4263, abs=5e-4)
     assert abs(row2.mean_beta_hat - 0.3551) < 0.04
     assert 0.04 < row2.ese < 0.09
     assert row2.n_failed == 0
-    assert row1.n_subjects == 10_000
 
 
 def test_simulation_scenario2_low_bias():

@@ -1,18 +1,20 @@
 """The treatment weights and the IRLS fit equal their reference forms bit for bit.
 
-The references below are the straightforward forms of the weight build
-and of the IRLS loop: the second propensity model fit on masked rows
-and re-predicted on the whole sample, the joint table as four boolean
-means, the weight factors summed as z a + (1 - z) b, and the weighted
-design formed by broadcasting. The library computes the same numbers
-with fewer passes; every comparison here is exact equality.
+The references below are the straightforward forms of the weight build,
+of the IRLS loop and of a replicate: the second propensity model fit on
+masked rows and re-predicted on the whole sample, the joint table as
+four boolean means, the weight factors summed as z a + (1 - z) b, the
+weighted design formed by broadcasting, and a censored second-event fit
+on the subset of rows whose first event was observed. The library
+computes the same numbers with fewer passes, and excludes those rows by
+giving them zero weight; every comparison here is exact equality.
 """
 
 import numpy as np
 import pytest
 
-from recurweight import harness
-from recurweight.harness import run_replicate
+from recurweight.coxfit import SurvivalSample, fit_weighted_cox
+from recurweight.harness import _REPLICATE_FAILURES, run_replicate
 from recurweight.iptw import (
     TreatmentWeights,
     WeightModelError,
@@ -51,7 +53,7 @@ def reference_fit_logistic(design, response):
         step = np.linalg.solve(info, score)
         beta += step
         if np.max(np.abs(beta)) > 30.0:
-            raise SeparationError("separated data")
+            raise SeparationError("coefficient magnitude exceeded 30.0: separated data")
         if np.max(np.abs(step)) < 1e-8:
             converged = True
             break
@@ -67,10 +69,12 @@ def reference_weight_e2(z1, z2, e1, e2, p_joint):
     return p_joint[z1, z2] / denominator
 
 
-def reference_fit(design, response):
+def reference_fit(design, response, label):
+    if len(design) < design.shape[1]:
+        raise WeightModelError(f"{label} model has fewer rows than coefficients")
     fit = reference_fit_logistic(design, response)
     if not fit.converged:
-        raise WeightModelError("did not converge")
+        raise WeightModelError(f"{label} model did not converge")
     return fit
 
 
@@ -78,19 +82,22 @@ def reference_build_treatment_weights(dataset, scenario):
     n = len(dataset)
     x1 = np.asarray(dataset["x1"], dtype=float)
     z1 = np.asarray(dataset["z1"], dtype=float)
-    e1 = reference_fit(np.column_stack([np.ones(n), x1]), z1).fitted_probabilities
+    e1 = reference_fit(
+        np.column_stack([np.ones(n), x1]), z1, "first propensity"
+    ).fitted_probabilities
     p1 = float(z1.mean())
     sw1 = p1 * z1 / e1 + (1.0 - p1) * (1.0 - z1) / (1.0 - e1)
+    observed = np.asarray(dataset["delta1"], dtype=bool)
     if Scenario(scenario) is not Scenario.TVTreatmentCovariates:
         p_joint = np.array([[1.0 - p1, 0.0], [0.0, p1]])
-        return TreatmentWeights(sw1, sw1.copy(), p1, p_joint)
+        return TreatmentWeights(sw1, np.where(observed, sw1, 0.0), p1, p_joint)
 
     x2 = np.asarray(dataset["x2"], dtype=float)
     z2 = np.asarray(dataset["z2"], dtype=float)
-    observed = np.asarray(dataset["delta1"], dtype=bool)
     fit2 = reference_fit(
         np.column_stack([np.ones(observed.sum()), x2[observed], z1[observed]]),
         z2[observed],
+        "second propensity",
     )
     e2 = expit(np.column_stack([np.ones(n), x2, z1]) @ fit2.coefficients)
     z1o = dataset["z1"][observed].astype(int)
@@ -99,14 +106,42 @@ def reference_build_treatment_weights(dataset, scenario):
     for i in (0, 1):
         for j in (0, 1):
             p_joint[i, j] = np.mean((z1o == i) & (z2o == j))
-    valid = (e2 > 0.0) & (e2 < 1.0)
-    if not np.all(valid[observed]):
-        raise ValueError("e2 must lie strictly in (0, 1)")
     sw2 = np.zeros(n)
-    sw2[valid] = reference_weight_e2(
-        dataset["z1"][valid], dataset["z2"][valid], e1[valid], e2[valid], p_joint,
-    )
+    sw2[observed] = reference_weight_e2(z1o, z2o, e1[observed], e2[observed], p_joint)
     return TreatmentWeights(sw1, sw2, p1, p_joint)
+
+
+def reference_replicate(cfg, seed, index):
+    """Estimates and failure message of a replicate whose censored
+    second-event fit runs on the subset of rows with delta1 = 1."""
+    def fit(time, event, treatment, weight):
+        f = fit_weighted_cox(SurvivalSample(time, event, treatment, weight))
+        return f.log_hr, f.naive_se, f.robust_se
+
+    try:
+        ds = gen_dataset(cfg, RngStream(seed, index))
+        tw = reference_build_treatment_weights(ds, cfg.scenario)
+        n = len(ds)
+        if cfg.tau is None:
+            fits = (fit(ds["w1"], np.ones(n), ds["z1"], tw.sw1),
+                    fit(ds["w2"], np.ones(n), ds["z2"], tw.sw2))
+        else:
+            at_risk = ds["delta1"] == 1
+            sub = ds[at_risk]
+            fits = (
+                fit(np.minimum(ds["w1"], cfg.tau), ds["delta1"], ds["z1"], tw.sw1),
+                fit(np.minimum(sub["w1"] + sub["w2"], cfg.tau), sub["delta2"],
+                    sub["z2"], tw.sw2[at_risk]),
+            )
+    except _REPLICATE_FAILURES as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return fits, None
+
+
+def replicate_outcome(result):
+    if result.failed:
+        return None, result.diagnostics["failure"]
+    return tuple(zip(result.beta_hat, result.naive_se, result.robust_se)), None
 
 
 def assert_fits_equal(got, want):
@@ -124,9 +159,15 @@ def test_weights_equal_the_reference(scenario, prevalence, tau):
         ds = gen_dataset(cfg, RngStream(909, index))
         got = build_treatment_weights(ds, scenario)
         want = reference_build_treatment_weights(ds, scenario)
-        for name in ("sw1", "sw2", "p_joint"):
+        for name in ("sw1", "p_joint"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.p_marginal == want.p_marginal
+        # a row whose first event was censored is not at risk for the second
+        observed = ds["delta1"] == 1
+        assert np.array_equal(got.sw2[observed], want.sw2[observed])
+        assert np.all(got.sw2[observed] > 0.0)
+        assert np.all(got.sw2[~observed] == 0.0)
+        assert observed.all() == (tau is None)
 
 
 @pytest.mark.parametrize("tau", [None, 0.25])
@@ -148,15 +189,29 @@ def test_fit_logistic_equals_the_reference_loop(tau):
                           reference_fit_logistic(design, response))
 
 
-@pytest.mark.parametrize("scenario, tau", [(1, None), (3, None), (3, 1.0), (3, 0.25)])
-def test_replicate_equals_a_reference_weights_replicate(scenario, tau, monkeypatch):
+@pytest.mark.parametrize(
+    "scenario, tau", [(1, None), (3, None), (2, 0.5), (3, 1.0), (3, 0.25)]
+)
+def test_replicate_equals_a_reference_weights_replicate(scenario, tau):
     cfg = config_for(scenario, 0.5, 10_000, beta_c=BETA_C, tau=tau)
-    got = [run_replicate(cfg, 2025, i) for i in range(2)]
-    monkeypatch.setattr(harness, "build_treatment_weights",
-                        reference_build_treatment_weights)
-    want = [run_replicate(cfg, 2025, i) for i in range(2)]
-    assert not any(r.failed for r in got)
-    assert repr(got) == repr(want)
+    for index in range(2):
+        got = replicate_outcome(run_replicate(cfg, 2025, index))
+        assert got[1] is None
+        assert repr(got) == repr(reference_replicate(cfg, 2025, index))
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+@pytest.mark.parametrize("tau", [0.05, 0.25])
+def test_failed_replicates_equal_the_reference(scenario, tau):
+    # at n = 60 some replicates, and at tau = 0.05 most, see too few
+    # first or second events for a weight model or a Cox fit
+    cfg = config_for(scenario, 0.25, 60, beta_c=BETA_C, tau=tau)
+    succeeded = []
+    for index in range(12):
+        got = replicate_outcome(run_replicate(cfg, 31, index))
+        assert repr(got) == repr(reference_replicate(cfg, 31, index))
+        succeeded.append(got[1] is None)
+    assert not all(succeeded)
 
 
 def test_sw1_is_exactly_one_quotient_per_arm():
