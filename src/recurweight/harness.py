@@ -15,8 +15,14 @@ it from that fit. Inverse-censoring weights are deliberately not
 part of this pipeline: the completion models sit on a heavy-tailed
 covariate, and their weights are unstable enough to dominate the fit
 (see the censoring demo for the comparison).
+
+Pool workers keep the heap their last replicate freed, where glibc is
+present, so the next replicate does not fault it in again; a serial
+run (RECURWEIGHT_THREADS=1) leaves the caller's allocator alone.
 """
 
+import ctypes
+import math
 import os
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool, cpu_count
@@ -36,6 +42,19 @@ from .statcore import RngStream, SeparationError
 
 THREAD_ENV_VAR = "RECURWEIGHT_THREADS"
 MAX_FAILURE_FRACTION = 0.05
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# A 10^4-subject replicate frees 2-3 MB at its end. Under the default
+# trim threshold a worker hands that back to the OS and faults it in
+# again on the next replicate. 256 MiB keeps a worker's heap across any
+# study. Setting either threshold turns off glibc's dynamic mmap
+# threshold, so the mmap one is set too: a spawned worker would stay at
+# 128 KiB and map every cohort and design matrix fresh. 32 MiB is the
+# largest mmap threshold glibc accepts on 64-bit.
+KEEP_HEAP_TRIM_BYTES = 256 << 20
+KEEP_HEAP_MMAP_BYTES = 32 << 20
 
 _REPLICATE_FAILURES = (
     SeparationError,
@@ -95,6 +114,7 @@ def run_replicate(config, master_seed, replicate_index=0):
 def _run_replicate_inner(config, master_seed, replicate_index):
     ds = gen_dataset(config, RngStream(master_seed, replicate_index))
     tw = build_treatment_weights(ds, config.scenario)
+    kept = np.count_nonzero(ds["delta1"])
 
     diagnostics = {
         "prevalence_z1": float(ds["z1"].mean()),
@@ -102,7 +122,7 @@ def _run_replicate_inner(config, master_seed, replicate_index):
         "sw1_mean": float(tw.sw1.mean()),
         "sw1_max": float(tw.sw1.max()),
         # over the rows the second-event fit keeps: sw2 is 0 elsewhere
-        "sw2_mean": float(tw.sw2.sum() / np.count_nonzero(ds["delta1"])),
+        "sw2_mean": float(tw.sw2.sum() / kept) if kept else float("nan"),
         "sw2_max": float(tw.sw2.max()),
     }
 
@@ -197,6 +217,22 @@ def _worker_count(n_reps):
     return max(1, min(limit, n_reps))
 
 
+def _keep_heap():
+    """Pool initializer: the worker reuses freed heap instead of trimming it.
+
+    Does nothing where the C library has no glibc `mallopt`. On Windows,
+    `CDLL(None)` raises TypeError rather than OSError.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, KEEP_HEAP_TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, KEEP_HEAP_MMAP_BYTES)
+
+
 def run_simulation(config, truth, n_reps, master_seed):
     """Run n_reps replicates and summarize both events.
 
@@ -211,8 +247,10 @@ def run_simulation(config, truth, n_reps, master_seed):
     if workers == 1:
         results = [run_replicate(*a) for a in args]
     else:
-        with Pool(workers) as pool:
-            results = pool.starmap(run_replicate, args, chunksize=8)
+        # chunks of 8, smaller where that would leave a worker idle
+        chunksize = min(8, math.ceil(n_reps / workers))
+        with Pool(workers, initializer=_keep_heap) as pool:
+            results = pool.starmap(run_replicate, args, chunksize=chunksize)
 
     n_failed = sum(r.failed for r in results)
     if n_failed > MAX_FAILURE_FRACTION * n_reps:
