@@ -99,40 +99,41 @@ def _fit(time, event, treatment, weight):
 
 
 def run_replicate(config, master_seed, replicate_index=0):
-    """One full generate/weight/fit pass; failures are flagged, not raised."""
+    """One full generate/weight/fit pass; failures are flagged, not raised.
+
+    A failed replicate keeps the diagnostics computed before the
+    failure, plus a `failure` entry naming it.
+    """
+    diagnostics = {}
     try:
-        return _run_replicate_inner(config, master_seed, replicate_index)
+        return _run_replicate_inner(config, master_seed, replicate_index, diagnostics)
     except _REPLICATE_FAILURES as exc:
+        diagnostics["failure"] = f"{type(exc).__name__}: {exc}"
         nans = (float("nan"), float("nan"))
-        return ReplicateResult(
-            nans, nans, nans,
-            diagnostics={"failure": f"{type(exc).__name__}: {exc}"},
-            failed=True,
-        )
+        return ReplicateResult(nans, nans, nans, diagnostics=diagnostics, failed=True)
 
 
-def _run_replicate_inner(config, master_seed, replicate_index):
+def _run_replicate_inner(config, master_seed, replicate_index, diagnostics):
+    """The replicate itself; fills the caller's diagnostics as it goes."""
     ds = gen_dataset(config, RngStream(master_seed, replicate_index))
-    tw = build_treatment_weights(ds, config.scenario)
-    kept = np.count_nonzero(ds["delta1"])
-
-    diagnostics = {
-        "prevalence_z1": float(ds["z1"].mean()),
-        "prevalence_z2": float(ds["z2"].mean()),
-        "sw1_mean": float(tw.sw1.mean()),
-        "sw1_max": float(tw.sw1.max()),
-        # over the rows the second-event fit keeps: sw2 is 0 elsewhere
-        "sw2_mean": float(tw.sw2.sum() / kept) if kept else float("nan"),
-        "sw2_max": float(tw.sw2.max()),
-    }
-
-    if config.tau is None:
-        time1, time2 = ds["w1"], ds["w2"]
-    else:
+    diagnostics["prevalence_z1"] = float(ds["z1"].mean())
+    diagnostics["prevalence_z2"] = float(ds["z2"].mean())
+    if config.tau is not None:
         diagnostics["censored_frac_event1"] = float(1.0 - ds["delta1"].mean())
         diagnostics["censored_frac_event2"] = float(1.0 - ds["delta2"].mean())
         diagnostics["censored_analysis"] = "risk-set"
         diagnostics["weight_models"] = "observed-rows"
+    tw = build_treatment_weights(ds, config.scenario)
+    kept = np.count_nonzero(ds["delta1"])
+    diagnostics["sw1_mean"] = float(tw.sw1.mean())
+    diagnostics["sw1_max"] = float(tw.sw1.max())
+    # over the rows the second-event fit keeps: sw2 is 0 elsewhere
+    diagnostics["sw2_mean"] = float(tw.sw2.sum() / kept) if kept else float("nan")
+    diagnostics["sw2_max"] = float(tw.sw2.max())
+
+    if config.tau is None:
+        time1, time2 = ds["w1"], ds["w2"]
+    else:
         time1 = np.minimum(ds["w1"], config.tau)
         time2 = np.minimum(ds["w1"] + ds["w2"], config.tau)
     fit1 = _fit(time1, ds["delta1"], ds["z1"], tw.sw1)

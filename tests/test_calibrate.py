@@ -3,6 +3,10 @@
 The oracle is exact, so every check runs at full precision in
 milliseconds; the census cross-check draws a finite potential-outcome
 population and fits it, which is what the exact value is the limit of.
+The reference oracle below is the plain form: exp on every lane of the
+rate-by-time matrix and both arms recomputed on every call. The library
+skips the lanes whose exp is 0 and computes the control arm once per
+covariate law; every comparison with the reference is exact equality.
 """
 
 import numpy as np
@@ -22,6 +26,38 @@ from recurweight.simgen import Scenario, ScenarioConfig, gen_potential_outcomes
 from recurweight.statcore import RngStream
 
 LN2 = float(np.log(2.0))
+
+
+def reference_survival_terms(times, rates, weights):
+    u = np.outer(rates, times)
+    e = np.exp(-np.minimum(u, 750.0))
+    return weights @ e, weights @ (u * e)
+
+
+def reference_rates(event, scenario=calibrate.ORACLE_SCENARIO):
+    sd = 1.0
+    if Scenario(scenario) is not Scenario.IndependentGaps and event == 2:
+        sd = np.sqrt(1.0 + ScenarioConfig.drift_sd**2)
+    nodes = calibrate._quadrature()[0]
+    return ScenarioConfig.baseline_rate * np.exp(ScenarioConfig.beta1 * sd * nodes)
+
+
+@np.errstate(all="ignore")
+def reference_oracle(beta_c, event, scenario=calibrate.ORACLE_SCENARIO):
+    _, weights, times, step = calibrate._quadrature()
+    rates = reference_rates(event, scenario)
+    s0, tf0 = reference_survival_terms(times, rates, weights)
+    s1, tf1 = reference_survival_terms(times * np.exp(beta_c), rates, weights)
+    mass = s0 + s1 > 0
+    s0, tf0, s1, tf1 = s0[mass], tf0[mass], s1[mass], tf1[mass]
+
+    def negative_score(beta):
+        eb = np.exp(beta)
+        return -(step * np.sum((tf1 * s0 - eb * tf0 * s1) / (s0 + eb * s1)))
+
+    lo, hi = min(0.0, beta_c) - 0.5, max(0.0, beta_c) + 0.5
+    beta, _ = _bisect(negative_score, lo, hi, calibrate._SCORE_TOLERANCE)
+    return float(beta)
 
 
 def test_bisect_linear_root():
@@ -84,6 +120,42 @@ def test_oracle_validation():
 def test_oracle_raises_instead_of_returning_nan(beta_c, message):
     with pytest.raises(ValueError, match=message):
         marginal_hr_oracle(beta_c, 1)
+
+
+@pytest.mark.parametrize("scenario", [1, 3])
+@pytest.mark.parametrize("event", [1, 2])
+@pytest.mark.parametrize("beta_c", [0.0, 0.4599, 0.783, 1.2331, -1.0, 30.0])
+def test_oracle_equals_the_plain_form(beta_c, event, scenario):
+    got = marginal_hr_oracle(beta_c, event, scenario)
+    assert got == reference_oracle(beta_c, event, scenario)
+
+
+@pytest.mark.parametrize("beta_c", [0.0, 0.783, 30.0, 1e3, float("inf"), float("nan")])
+def test_survival_terms_equal_the_plain_form(beta_c):
+    # from 1e3 on the treated lanes overflow or are nan, and the nan
+    # ones must still reach exp
+    _, weights, times, _ = calibrate._quadrature()
+    rates = reference_rates(1)
+    with np.errstate(all="ignore"):
+        treated = times * np.exp(beta_c)
+        got = calibrate._survival_terms(treated, rates, weights)
+        want = reference_survival_terms(treated, rates, weights)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_survival_terms_equal_the_plain_form_lane_by_lane():
+    # one node of weight 1, so each result is a single lane: across the
+    # range where exp underflows, at the cap and past it
+    u = np.array([0.0, 1.0, 700.0, 708.5, 745.0, 745.13, 745.2, 746.0, 750.0,
+                  1e308, np.inf, np.nan])
+    one = np.ones(1)
+    with np.errstate(all="ignore"):
+        got = calibrate._survival_terms(u, one, one)
+        want = reference_survival_terms(u, one, one)
+    assert want[0][4] > 0.0  # exp(-745) is the smallest subnormal
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_oracle_null():
@@ -215,6 +287,59 @@ def test_calibration_solve_is_a_few_evaluations(monkeypatch):
     # 7 at this target: 6 on event 1, then the event-2 value
     assert 3 <= len(oracle_events) <= 8
     assert oracle_events == [1] * (len(oracle_events) - 1) + [2]
+
+
+def test_calibration_solve_computes_the_control_arm_once_per_law(monkeypatch):
+    # every oracle call evaluates its treated arm; the control arm is
+    # evaluated once for event 1 and once for event 2
+    calibrate._control_arm.cache_clear()
+    grid = calibrate._quadrature()[2]
+    arms, oracle_calls = [], []
+    real_terms = calibrate._survival_terms
+    real_oracle = calibrate.marginal_hr_oracle
+
+    def counting_terms(times, rates, weights):
+        arms.append("control" if times is grid else "treated")
+        return real_terms(times, rates, weights)
+
+    def counting_oracle(*args, **kwargs):
+        oracle_calls.append(args)
+        return real_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "_survival_terms", counting_terms)
+    monkeypatch.setattr(calibrate, "marginal_hr_oracle", counting_oracle)
+    calibrate_beta_c(LN2)
+    assert arms.count("treated") == len(oracle_calls) == 7
+    assert arms.count("control") == 2
+
+
+@pytest.mark.parametrize("field, value, event", [
+    ("drift_sd", 2.0, 2),
+    ("beta1", 0.8, 1),
+    ("baseline_rate", 3.0, 1),
+])
+def test_control_arm_follows_the_scenario_config(monkeypatch, field, value, event):
+    # the cached control arm is keyed on what it is built from, so a
+    # changed default cannot reuse a stale entry; the marginal effect
+    # does not depend on the time scale, so the rates show a stale
+    # baseline_rate where the oracle value cannot
+    default = marginal_hr_oracle(0.783, event)
+    monkeypatch.setattr(ScenarioConfig, field, value)
+    rates_seen = []
+    real_terms = calibrate._survival_terms
+
+    def recording_terms(times, rates, weights):
+        rates_seen.append(rates)
+        return real_terms(times, rates, weights)
+
+    monkeypatch.setattr(calibrate, "_survival_terms", recording_terms)
+    patched = marginal_hr_oracle(0.783, event)
+    assert patched == reference_oracle(0.783, event)
+    assert rates_seen
+    for rates in rates_seen:
+        assert rates.tobytes() == reference_rates(event).tobytes()
+    if field != "baseline_rate":
+        assert patched != default
 
 
 def test_secant_beats_bisection_on_a_smooth_root():

@@ -149,15 +149,31 @@ def test_replicate_with_too_few_observed_first_events_is_flagged():
     r = run_replicate(config_for(3, 0.25, 30, beta_c=0.783, tau=0.05), 1234, 0)
     assert r.failed
     assert r.diagnostics["failure"].startswith("WeightModelError: ")
+    # what explains the failure was computed before it and is kept
+    assert r.diagnostics["censored_frac_event1"] == pytest.approx(28 / 30)
+    assert r.diagnostics["prevalence_z1"] == pytest.approx(0.3)
+    assert "sw1_mean" not in r.diagnostics
 
 
 def test_replicate_without_observed_first_event_warns_nothing():
     # every first event is censored, so no row is left for the sw2 mean
+    # and the first Cox fit fails; what was computed before the failure
+    # is kept
+    cfg = config_for(1, 0.25, 20, tau=1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = run_replicate(config_for(1, 0.25, 20, tau=1e-9), 1, 0)
+        r = run_replicate(cfg, 1, 0)
+    d = r.diagnostics
     assert r.failed
-    assert r.diagnostics["failure"].startswith("MonotoneLikelihoodError: ")
+    assert d["failure"].startswith("MonotoneLikelihoodError: ")
+    assert d["prevalence_z1"] == d["prevalence_z2"] == pytest.approx(0.15)
+    assert d["censored_frac_event1"] == d["censored_frac_event2"] == 1.0
+    assert d["censored_analysis"] == "risk-set"
+    tw = build_treatment_weights(gen_dataset(cfg, RngStream(1, 0)), 1)
+    assert d["sw1_mean"] == tw.sw1.mean()
+    assert d["sw1_max"] == tw.sw1.max()
+    assert math.isnan(d["sw2_mean"])
+    assert d["sw2_max"] == 0.0
 
 
 def test_null_effect_coverage():
