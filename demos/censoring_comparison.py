@@ -48,21 +48,16 @@ from recurweight.coxfit import (
     SurvivalSample,
     fit_weighted_cox,
 )
-from recurweight.iptw import (
-    WeightModelError,
-    _converged_fit,
-    build_treatment_weights,
-)
+from recurweight.iptw import build_treatment_weights
 from recurweight.simgen import config_for, gen_dataset
-from recurweight.statcore import RngStream, SeparationError, expit
+from recurweight.statcore import RngStream, WeightModelError, expit, fit_logistic
 
 REPS = 40
 N = 6_000
 SEED = 424
 TRUTH = 0.2085  # marginal event-2 log hr for beta_c = 0.4599
 
-FAILURES = (SeparationError, WeightModelError,
-            MonotoneLikelihoodError, CoxConvergenceError)
+FAILURES = (WeightModelError, MonotoneLikelihoodError, CoxConvergenceError)
 
 
 @dataclass
@@ -118,10 +113,8 @@ def build_censoring_weights(dataset, tau):
     if delta1.all():
         ratio1 = np.ones(n)
     else:
-        fit1 = _converged_fit(
-            np.column_stack([np.ones(n), x1, z1]),
-            delta1.astype(float),
-            "first censoring",
+        fit1 = fit_logistic(
+            np.column_stack([np.ones(n), x1, z1]), delta1.astype(float)
         )
         ratio1 = delta1.mean() / fit1.fitted_probabilities
 
@@ -141,7 +134,7 @@ def build_censoring_weights(dataset, tau):
         if not np.array_equal(z2, z1):
             columns.append(z2)
         design2 = np.column_stack(columns)
-        fit2 = _converged_fit(design2[obs], d2_obs, "second censoring")
+        fit2 = fit_logistic(design2[obs], d2_obs)
         # only delta2 = 1 rows carry this factor; evaluating elsewhere
         # risks saturated predictions on rows that never use it
         ratio2 = np.ones(n)

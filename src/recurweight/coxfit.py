@@ -207,8 +207,14 @@ def partial_loglik(beta, sample):
     return float(loglik) if b.ndim == 0 else loglik
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _loglik_at(beta, arms):
-    """Log partial likelihood at beta, with the risk sums behind it."""
+    """Log partial likelihood at beta, with the risk sums behind it.
+
+    A trial step far enough out overflows exp(beta) to inf; the
+    likelihood then reads -inf or nan, which step-halving counts as a
+    drop, so the overflow is not worth a warning.
+    """
     s0, s1 = _risk_sums(beta, arms)
     return beta * arms.d1 - np.sum(arms.w * np.log(s0)), s0, s1
 

@@ -36,9 +36,9 @@ from .coxfit import (
     SurvivalSample,
     fit_weighted_cox,
 )
-from .iptw import WeightModelError, build_treatment_weights
+from .iptw import build_treatment_weights
 from .simgen import Scenario, gen_dataset
-from .statcore import RngStream, SeparationError
+from .statcore import RngStream, WeightModelError
 
 THREAD_ENV_VAR = "RECURWEIGHT_THREADS"
 MAX_FAILURE_FRACTION = 0.05
@@ -57,7 +57,6 @@ KEEP_HEAP_TRIM_BYTES = 256 << 20
 KEEP_HEAP_MMAP_BYTES = 32 << 20
 
 _REPLICATE_FAILURES = (
-    SeparationError,
     WeightModelError,
     MonotoneLikelihoodError,
     CoxConvergenceError,

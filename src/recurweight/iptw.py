@@ -17,6 +17,10 @@ table are fit on the delta1 = 1 rows, and sw2 is 0 on every other row
 in all three scenarios, which drops those rows from the second-event
 fit. Baseline columns are complete, so the first model always uses the
 full sample.
+
+Both models come from `statcore.fit_logistic`, which returns only
+converged fits whose propensities lie strictly inside (0, 1) and
+raises a `WeightModelError` otherwise; the replicate then fails.
 """
 
 from dataclasses import dataclass
@@ -27,29 +31,18 @@ from .simgen import Scenario
 from .statcore import fit_logistic
 
 
-class WeightModelError(RuntimeError):
-    """A weight model could not be fit; the replicate cannot be used."""
-
-
 @dataclass
 class TreatmentWeights:
     sw1: np.ndarray
     sw2: np.ndarray
-    p_marginal: float
-    p_joint: np.ndarray
 
     def __post_init__(self):
         self.sw1 = np.asarray(self.sw1, dtype=float)
         self.sw2 = np.asarray(self.sw2, dtype=float)
-        self.p_joint = np.asarray(self.p_joint, dtype=float)
         if not (np.all(np.isfinite(self.sw1)) and np.all(np.isfinite(self.sw2))):
             raise ValueError("weights must be finite")
         if np.any(self.sw1 < 0) or np.any(self.sw2 < 0):
             raise ValueError("weights must be nonnegative")
-        if self.p_joint.shape != (2, 2) or np.any(self.p_joint < 0):
-            raise ValueError("p_joint must be a nonnegative 2x2 table")
-        if abs(self.p_joint.sum() - 1.0) > 1e-12:
-            raise ValueError("p_joint must sum to 1")
 
 
 def _check_probability(p, name):
@@ -95,15 +88,6 @@ def stabilized_weight_e2(z1, z2, e1, e2, p_joint):
     return numerator / denominator
 
 
-def _converged_fit(design, response, label):
-    if len(design) < design.shape[1]:
-        raise WeightModelError(f"{label} model has fewer rows than coefficients")
-    fit = fit_logistic(design, response)
-    if not fit.converged:
-        raise WeightModelError(f"{label} model did not converge")
-    return fit
-
-
 def build_treatment_weights(dataset, scenario):
     """Fit the scenario's propensity models and return per-subject weights.
 
@@ -116,27 +100,23 @@ def build_treatment_weights(dataset, scenario):
     x1 = np.asarray(dataset["x1"], dtype=float)
     z1 = np.asarray(dataset["z1"], dtype=float)
 
-    fit1 = _converged_fit(np.column_stack([np.ones(n), x1]), z1, "first propensity")
-    e1 = fit1.fitted_probabilities
+    e1 = fit_logistic(np.column_stack([np.ones(n), x1]), z1).fitted_probabilities
     p1 = float(z1.mean())
     sw1 = stabilized_weight_e1(z1, e1, p1)
 
     if scenario is not Scenario.TVTreatmentCovariates:
         # fixed treatment: conditional second factor is identically 1
-        p_joint = np.array([[1.0 - p1, 0.0], [0.0, p1]])
-        return TreatmentWeights(sw1, sw1 * dataset["delta1"], p1, p_joint)
+        return TreatmentWeights(sw1, sw1 * dataset["delta1"])
 
     z2 = np.asarray(dataset["z2"], dtype=float)
     design = np.column_stack([np.ones(n), dataset["x2"], z1])
     observed = dataset["delta1"] == 1
     rows = slice(None) if observed.all() else observed
-    fit2 = _converged_fit(design[rows], z2[rows], "second propensity")
+    e2 = fit_logistic(design[rows], z2[rows]).fitted_probabilities
     # cell 2 z1 + z2 of the joint table, counted over the fit's rows
     cells = 2 * dataset["z1"][rows]
     cells += dataset["z2"][rows]
     p_joint = (np.bincount(cells, minlength=4) / len(cells)).reshape(2, 2)
     sw2 = np.zeros(n)
-    sw2[rows] = stabilized_weight_e2(
-        z1[rows], z2[rows], e1[rows], fit2.fitted_probabilities, p_joint
-    )
-    return TreatmentWeights(sw1, sw2, p1, p_joint)
+    sw2[rows] = stabilized_weight_e2(z1[rows], z2[rows], e1[rows], e2, p_joint)
+    return TreatmentWeights(sw1, sw2)

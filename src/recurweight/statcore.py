@@ -12,8 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class SeparationError(RuntimeError):
-    """Logistic MLE is divergent (separated data or constant response)."""
+class WeightModelError(RuntimeError):
+    """A weight model could not be fit; the replicate cannot be used."""
+
+
+class SeparationError(WeightModelError):
+    """Logistic MLE is divergent (separated data or constant response),
+    or a fitted probability saturated at exactly 0 or 1."""
 
 
 def expit(x):
@@ -78,15 +83,15 @@ def draw_normal(stream, mean=0.0, sd=1.0, size=None):
 
 @dataclass
 class LogisticFit:
-    """Result of a logistic regression fit.
+    """Result of a converged logistic regression fit.
 
     coefficients has the intercept first, matching the design matrix
-    column order. fitted_probabilities are expit(X @ coefficients),
-    strictly inside (0, 1).
+    column order. n_iter counts the IRLS steps taken.
+    fitted_probabilities are expit(X @ coefficients), strictly inside
+    (0, 1).
     """
 
     coefficients: np.ndarray
-    converged: bool
     n_iter: int
     fitted_probabilities: np.ndarray
 
@@ -107,20 +112,23 @@ def fit_logistic(design, response):
 
     Returns
     -------
-    LogisticFit. converged is False if the coefficient step never fell
-    below 1e-8 within 25 iterations.
+    LogisticFit. Every fit that returns has converged, and each of its
+    fitted probabilities lies strictly inside (0, 1).
 
     Raises
     ------
-    SeparationError if the response is constant or any coefficient
-    exceeds 30 in absolute value during iteration (divergent MLE).
+    WeightModelError if there are fewer rows than coefficients, or if
+    the coefficient step never fell below 1e-8 within 25 iterations.
+    SeparationError (a WeightModelError) if the response is constant,
+    any coefficient exceeds 30 in absolute value during iteration
+    (divergent MLE), or a fitted probability is exactly 0 or 1.
     numpy.linalg.LinAlgError if the information matrix is singular.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     n, p = X.shape
     if n < p:
-        raise ValueError(f"need n >= p, got n={n}, p={p}")
+        raise WeightModelError(f"fewer rows than coefficients (n={n}, p={p})")
 
     ybar = np.mean(y)
     if ybar <= 0.0 or ybar >= 1.0:
@@ -128,8 +136,6 @@ def fit_logistic(design, response):
 
     beta = np.zeros(p)
     XW = np.empty_like(X)  # X * wls[:, None], refilled column by column
-    converged = False
-    it = 0
     for it in range(1, _IRLS_MAX_ITER + 1):
         prob = expit(X @ beta)
         wls = prob * (1.0 - prob)
@@ -144,12 +150,12 @@ def fit_logistic(design, response):
                 f"coefficient magnitude exceeded {_SEPARATION_BOUND}: separated data"
             )
         if np.max(np.abs(step)) < _IRLS_TOL:
-            converged = True
             break
+    else:
+        raise WeightModelError(f"IRLS did not converge in {_IRLS_MAX_ITER} iterations")
 
-    return LogisticFit(
-        coefficients=beta,
-        converged=converged,
-        n_iter=it,
-        fitted_probabilities=expit(X @ beta),
-    )
+    prob = expit(X @ beta)
+    # written so that a nan probability counts as saturated too
+    if not (prob.min() > 0.0 and prob.max() < 1.0):
+        raise SeparationError("a fitted probability saturated at 0 or 1")
+    return LogisticFit(coefficients=beta, n_iter=it, fitted_probabilities=prob)

@@ -155,6 +155,34 @@ def test_replicate_with_too_few_observed_first_events_is_flagged():
     assert "sw1_mean" not in r.diagnostics
 
 
+@pytest.mark.parametrize(
+    "scenario, prevalence, n, index",
+    [
+        (1, 0.25, 12, 344),  # e1 saturates
+        (3, 0.25, 15, 384),  # e2 saturates
+        (3, 0.5, 30, 1392),  # e2 saturates
+    ],
+)
+def test_replicate_with_a_saturated_propensity_is_flagged(
+    scenario, prevalence, n, index
+):
+    cfg = config_for(scenario, prevalence, n, beta_c=0.7830)
+    r = run_replicate(cfg, 1234, index)
+    assert r.failed
+    assert r.diagnostics["failure"] == (
+        "SeparationError: a fitted probability saturated at 0 or 1"
+    )
+    assert "sw1_mean" not in r.diagnostics
+
+
+def test_replicate_whose_newton_trial_step_overflows_warns_nothing():
+    # a trial step overflows exp(beta) in the second Cox fit; step-halving
+    # counts the inf/nan likelihood as a drop and the fit converges
+    r = run_replicate(config_for(3, 0.25, 100, beta_c=0.7830), 1234, 2162)
+    assert not r.failed
+    assert r.beta_hat == (0.5267740849832034, -5.408509293480798)
+
+
 def test_replicate_without_observed_first_event_warns_nothing():
     # every first event is censored, so no row is left for the sw2 mean
     # and the first Cox fit fails; what was computed before the failure

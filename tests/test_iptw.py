@@ -10,13 +10,12 @@ import pytest
 
 from recurweight.iptw import (
     TreatmentWeights,
-    WeightModelError,
     build_treatment_weights,
     stabilized_weight_e1,
     stabilized_weight_e2,
 )
 from recurweight.simgen import ScenarioConfig, config_for, gen_dataset
-from recurweight.statcore import RngStream, SeparationError
+from recurweight.statcore import RngStream, SeparationError, WeightModelError
 
 
 def test_sw1_treated():
@@ -90,22 +89,12 @@ def test_fixed_treatment_weights_coincide():
         ds = gen_dataset(config_for(s, 0.25, 10_000), RngStream(33))
         tw = build_treatment_weights(ds, s)
         assert np.array_equal(tw.sw1, tw.sw2)
-        assert tw.p_joint[0, 1] == 0.0 and tw.p_joint[1, 0] == 0.0
-        assert tw.p_joint[1, 1] == pytest.approx(tw.p_marginal, abs=1e-15)
-
-
-def test_marginal_prevalence_band():
-    ds = gen_dataset(config_for(1, 0.25, 10_000), RngStream(34))
-    tw = build_treatment_weights(ds, 1)
-    assert 0.235 < tw.p_marginal < 0.265
 
 
 def test_second_prevalence_at_gamma0_minus_point1():
     cfg = ScenarioConfig(scenario=3, n_subjects=100_000, gamma0=-0.1000)
     ds = gen_dataset(cfg, RngStream(35))
-    tw = build_treatment_weights(ds, 3)
-    z2_prev = tw.p_joint[0, 1] + tw.p_joint[1, 1]
-    assert 0.49 < z2_prev < 0.51
+    assert 0.49 < ds["z2"].mean() < 0.51
 
 
 def test_all_treated_raises_separation():
@@ -149,13 +138,6 @@ def test_four_term_equals_product_form():
     assert np.allclose(four_term, product_form, rtol=1e-12, atol=0)
 
 
-def test_built_joint_table_consistent_when_uncensored():
-    ds = gen_dataset(config_for(3, 0.25, 5_000, beta_c=0.5), RngStream(39))
-    tw = build_treatment_weights(ds, 3)
-    assert tw.p_joint[1].sum() == pytest.approx(tw.p_marginal, abs=1e-12)
-    assert tw.p_joint.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_censored_fit_uses_observed_rows():
     # second-event model coefficients must come from delta1 = 1 rows:
     # corrupting x2 on censored rows must not change any weight there
@@ -169,7 +151,6 @@ def test_censored_fit_uses_observed_rows():
     tw2 = build_treatment_weights(corrupted, 3)
     observed = ~censored
     assert np.array_equal(tw.sw2[observed], tw2.sw2[observed])
-    assert np.array_equal(tw.p_joint, tw2.p_joint)
 
 
 def test_censored_rows_with_saturated_e2_get_zero_weight():
@@ -188,7 +169,7 @@ def test_saturated_e2_on_an_observed_row_raises(tau):
     ds = gen_dataset(cfg, RngStream(41))
     row = np.flatnonzero((ds["delta1"] == 1) & (ds["z2"] == 1))[0]
     ds["x2"][row] = 99.0
-    with pytest.raises(ValueError, match="e2 must lie strictly in"):
+    with pytest.raises(SeparationError, match="saturated at 0 or 1"):
         build_treatment_weights(ds, 3)
 
 
@@ -203,13 +184,10 @@ def test_too_few_observed_rows_for_the_second_model_raise():
 
 def test_treatment_weights_validation():
     ones = np.ones(3)
-    good = np.array([[0.5, 0.1], [0.2, 0.2]])
-    with pytest.raises(ValueError):
-        TreatmentWeights(ones, -ones, 0.5, good)
-    with pytest.raises(ValueError):
-        TreatmentWeights(ones, ones, 0.5, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        TreatmentWeights(np.array([1.0, np.inf, 1.0]), ones, 0.5, good)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TreatmentWeights(ones, -ones)
+    with pytest.raises(ValueError, match="finite"):
+        TreatmentWeights(np.array([1.0, np.inf, 1.0]), ones)
 
 
 def _censored_dataset(n, tau, seed, beta_c=0.4599):

@@ -5,10 +5,12 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
+from recurweight import statcore
 from recurweight.statcore import (
     LogisticFit,
     RngStream,
     SeparationError,
+    WeightModelError,
     draw_normal,
     draw_uniform,
     expit,
@@ -112,7 +114,6 @@ class TestFitLogistic:
         fit = fit_logistic(X, y)
         # MLE of intercept-only model is logit(ybar) = ln 3
         npt.assert_allclose(fit.coefficients[0], np.log(3.0), atol=1e-6)
-        assert fit.converged
 
     def test_intercept_only_balanced(self):
         fit = fit_logistic(np.ones((2, 1)), np.array([0.0, 1.0]))
@@ -145,6 +146,33 @@ class TestFitLogistic:
         y = (x > 0).astype(float)
         with pytest.raises(SeparationError):
             fit_logistic(np.column_stack([np.ones(6), x]), y)
+
+    def test_fewer_rows_than_coefficients_raise(self):
+        X = np.column_stack([np.ones(2), [0.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(WeightModelError, match="fewer rows than coefficients"):
+            fit_logistic(X, np.array([0.0, 1.0]))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # the intercept-only fit takes more than one step from zero
+        monkeypatch.setattr(statcore, "_IRLS_MAX_ITER", 1)
+        with pytest.raises(WeightModelError, match="did not converge in 1 iter"):
+            fit_logistic(np.ones((4, 1)), np.array([0.0, 1.0, 1.0, 1.0]))
+
+    def test_saturated_fitted_probability_raises(self):
+        # an overlapping sample plus one far outlier: the slope stays
+        # near +-1, well inside the coefficient bound, but the outlier's
+        # fitted probability rounds to exactly 1 (or, flipped, to 0)
+        s = RngStream(47)
+        x = draw_normal(s, 0.0, 1.0, 200)
+        y = (draw_uniform(s, 200) < expit(x)).astype(float)
+        x[0], y[0] = 1e3, 1.0
+        X = np.column_stack([np.ones(200), x])
+        for response in (y, 1.0 - y):
+            with pytest.raises(SeparationError, match="saturated at 0 or 1"):
+                fit_logistic(X, response)
+
+    def test_separation_is_a_weight_model_failure(self):
+        assert issubclass(SeparationError, WeightModelError)
 
     def test_singular_design(self):
         X = np.column_stack([np.ones(6), np.ones(6)])
@@ -179,7 +207,6 @@ class TestFitLogistic:
         y = (draw_uniform(s, n) < expit(-0.5 + x)).astype(float)
         X = np.column_stack([np.ones(n), x])
         fit = fit_logistic(X, y)
-        assert fit.converged
         score = X.T @ (y - fit.fitted_probabilities)
         assert np.max(np.abs(score)) < 1e-5
 
