@@ -183,6 +183,8 @@ def parse_args(argv):
 
     if args.n < 2:
         parser.error("--n must be at least 2: need at least 2 subjects")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     if args.tau is not None and args.scenario is None:
         parser.error("--tau requires an explicit --scenario")
     targets = _parse_targets(args.target_hr, parser)

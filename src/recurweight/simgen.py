@@ -23,6 +23,7 @@ generation shares u1, u2 with the factual path.
 """
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -241,10 +242,10 @@ def gen_potential_outcomes(config, stream):
 
 
 DATASET_CSV_HEADER = "x1,x2,z1,z2,w1,w2,delta1,delta2"
-# rows formatted per write: bounds the per-chunk byte matrices (172 slots
-# x rows, 0.7 MB with the selection mask) and the kernel's arrays; 2,048
-# rows run as fast as 4,096, which left both matrices resident and raised
-# a repeated 10^6-row dump's peak memory by 0.4 MB
+# rows formatted per write: bounds the per-chunk byte matrices (120 slots
+# x rows, 0.5 MB with the selection mask) and the kernel's arrays over the
+# chunk's 4 x rows float values; 4,096 rows wrote a 10^6-row cohort about
+# 5% faster with twice that memory, 1,024 rows about 7% slower
 CSV_CHUNK_ROWS = 2_048
 
 # 10^k is exact in binary for k <= 22, so v 10^k is exact as hi + lo
@@ -255,125 +256,182 @@ _VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
 # distance d < 2^4 within 2^-48, while the half-ulp H is exact; a decision
 # closer than this to a tie or to the interval's edge goes to repr
 _GUARD = 1e-6
+# the kernel formats |v| below 10^4, whose integer part fits the float
+# block's 4 integer slots; 10^6-row cohorts of all three scenarios peak
+# near 4,400, and about 0.4% of their w2 values are 100 or more
+_CUTOFF = 1e4
 
 
-def _split(a):
-    c = _VELTKAMP * a
-    hi = c - (c - a)
-    return hi, a - hi
+def _split(a, lo=None):
+    """Veltkamp's split a = hi + lo, exact, hi with 26 significant bits."""
+    hi = _VELTKAMP * a
+    hi -= hi - a
+    return hi, np.subtract(a, hi, out=lo)
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _shortest_digits(v):
-    """Python's shortest round-trip digits of |v|, for repr's positional range.
+def _scaled(v):
+    """X = |v| 10^k, k = 16 - e10, as an int64 `whole` and a fraction f.
 
-    Returns (digits, e10, ndigits, certified): |v| prints as the first
-    ndigits of the 17-digit integer `digits`, with e10 = floor(log10 |v|).
-    Only entries with `certified` set are valid; the rest (zero,
-    subnormal, non-finite, outside [1e-4, 1e16), a power-of-two
+    Returns (whole, f, e10, below, above, certified): below and above are
+    the largest whole distances to a candidate under and over X that stay
+    inside the rounding interval [X - H, X + H], H half an ulp of |v|
+    scaled; only entries with `certified` set are valid (see
+    _shortest_digits). The steps run in place where they can, and the
+    temporaries go when the call returns, so the kernel holds about
+    eleven arrays of v's length at its peak.
+    """
+    a = np.abs(v)
+    scratch, exp2 = np.frexp(a)
+    certified = (a >= 1e-4) & (a < _CUTOFF) & (scratch != 0.5)
+    np.copyto(a, 1.0, where=~certified)
+    np.copyto(exp2, 1, where=~certified)  # frexp(1.0) = (0.5, 1)
+    # k is in [12, 20]; a misjudged e10 fails the range test below
+    e10 = np.floor(np.log10(a, out=scratch), out=scratch).astype(np.int8)
+    k = np.subtract(16, e10, dtype=np.intp)
+    scale = _POW10[k]
+    hi = a * scale
+    exp2 -= 54
+    half_ulp = np.ldexp(scale, exp2, out=scale)
+    # Dekker's TwoProduct: hi + lo == a 10^k exactly, without an FMA
+    a_hi, a_lo = _split(a, lo=a)
+    p_hi, p_lo = np.take(_POW10_HI, k, out=scratch), _POW10_LO[k]
+    lo = a_hi * p_hi
+    lo -= hi
+    lo += np.multiply(a_hi, p_lo, out=a_hi)
+    lo += np.multiply(a_lo, p_hi, out=p_hi)
+    lo += np.multiply(a_lo, p_lo, out=p_lo)
+    floor_lo = np.floor(lo, out=a_hi)
+    whole = hi.astype(np.int64)
+    whole += floor_lo.astype(np.int64)
+    f = np.subtract(lo, floor_lo, out=lo)
+    # a misjudged e10 (log10 rounding near a power of ten) leaves X outside
+    # [10^16, 10^17); a fraction near 0, 1/2 or 1 is a possible tie
+    certified &= (whole >= _INT_POW10[16]) & (whole < _INT_POW10[17])
+    off_half = np.abs(np.subtract(f, 0.5, out=a_hi), out=a_hi)
+    certified &= (off_half > _GUARD) & (off_half < 0.5 - _GUARD)
+    # the p-digit candidate below X is inside iff rem + f < H, the one
+    # above iff q - rem < H + f, for rem = whole mod q: integer tests
+    # against the largest passing rem (below) and q - rem (above); H - f or
+    # H + f near a whole number puts a candidate on the interval's edge
+    bounds = []
+    for x in (np.subtract(half_ulp, f, out=hi), np.add(half_ulp, f, out=scratch)):
+        bound = np.ceil(x, out=p_lo)
+        bound -= 1.0
+        gap = np.subtract(bound, x, out=x)  # in [-1, 0), -1 or 0 where x is whole
+        certified &= (gap > _GUARD - 1.0) & (gap < -_GUARD)
+        bounds.append(bound.astype(np.int8))  # H < 2^4 where certified
+    return whole, f, e10, *bounds, certified
+
+
+def _shortest_digits(v):
+    """Python's shortest round-trip digits of |v|, for |v| in [1e-4, 1e4).
+
+    Returns (digits, e10, ndigits, certified) for a 1-D v: |v| prints as
+    the first ndigits of the 17-digit integer `digits`, with e10 =
+    floor(log10 |v|). Only entries with `certified` set are valid; the
+    rest (zero, subnormal, non-finite, outside [1e-4, 1e4), a power-of-two
     significand with its asymmetric interval, or a decision inside the
     guard band) need repr. The p-digit decimal nearest to X = |v| 10^k
     lies in the rounding interval [X - H, X + H] iff some p-digit decimal
     does (Steele & White 1990); the interval is symmetric, so the passing
     p are all p >= the shortest, and p = 17 always passes.
     """
-    a = np.abs(v)
-    frac, exp2 = np.frexp(a)
-    certified = (a >= 1e-4) & (a < 1e16) & (frac != 0.5)
-    np.copyto(a, 1.0, where=~certified)
-    np.copyto(exp2, 1, where=~certified)  # frexp(1.0) = (0.5, 1)
-    e10 = np.log10(a)
-    # k = 16 - e10 is in [0, 20]; a misjudged e10 fails the range test below
-    e10 = np.floor(e10, out=e10).astype(np.int64)
-    k = 16 - e10
-    # Dekker's TwoProduct: hi + lo == a 10^k exactly, without an FMA
-    hi = a * _POW10[k]
-    a_hi, a_lo = _split(a)
-    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    floor_lo = np.floor(lo)
-    whole = hi.astype(np.int64)
-    whole += floor_lo.astype(np.int64)
-    f = np.subtract(lo, floor_lo, out=lo)
-    half_ulp = np.ldexp(_POW10[k], exp2 - 54)
-    # the p-digit candidate below X is inside iff rem + f < H, the one
-    # above iff q - rem < H + f, for rem = whole mod q: integer tests
-    # against the largest passing rem (below) and q - rem (above)
-    below = np.ceil(half_ulp - f) - 1.0
-    above = np.ceil(half_ulp + f) - 1.0
-    # a misjudged e10 (log10 rounding near a power of ten) leaves X outside
-    # [10^16, 10^17); a fraction near 0, 1/2 or 1 is a possible tie, and H - f
-    # or H + f near a whole number a candidate on the interval's edge
-    certified &= (whole >= _INT_POW10[16]) & (whole < _INT_POW10[17])
-    off_half = np.abs(f - 0.5)
-    certified &= (off_half > _GUARD) & (off_half < 0.5 - _GUARD)
-    for bound, x in ((below, half_ulp - f), (above, half_ulp + f)):
-        gap = bound - x  # in [-1, 0), -1 or 0 where x is a whole number
-        certified &= (gap > _GUARD - 1.0) & (gap < -_GUARD)
-    below, above = below.astype(np.int64), above.astype(np.int64)
-    # the passing p run from 17 down to the shortest; about 57% of random
+    whole, f, e10, below, above, certified = _scaled(v)
+    # p passes iff the candidate below X or the one above is inside; the
+    # passing p run from 17 down to the shortest, and about 57% of random
     # values pass p = 16 and 6% p = 15, so the loop follows the survivors
-    ndigits = np.full(a.shape, 17, dtype=np.int64)
+    ndigits = np.full(whole.shape, 17, dtype=np.int8)
     live = np.flatnonzero(certified)
     for p in range(16, 0, -1):
         q = _INT_POW10[17 - p]
-        x = whole[live]
-        rem = x - x // q * q
-        live = live[np.where(rem >= q // 2, q - rem <= above[live], rem <= below[live])]
+        rem = whole[live]
+        quot = rem // q
+        quot *= q
+        rem -= quot
+        inside = rem <= below[live]
+        inside |= np.subtract(q, rem, out=quot) <= above[live]
+        live = live[np.flatnonzero(inside)]
         if not live.size:
             break
         ndigits[live] = p
     # round X to the shortest: up iff rem + f > q / 2 (ties were sent to repr)
     q = _INT_POW10[17 - ndigits]
-    rem = whole % q
-    digits = whole - rem + q * (2 * rem + (f > 0.5) >= q)
+    rem = np.remainder(whole, q)
+    digits = np.subtract(whole, rem, out=whole)
+    rem *= 2
+    rem += f > 0.5
+    q *= rem >= q
+    digits += q
     certified &= digits < _INT_POW10[17]
     return digits, e10, ndigits, certified
 
 
-# per float field: sign, "0", 17 digits, ".", 3 zeros, the same 17 digits
-_FLOAT_SLOTS = 40
-_FIELD_SLOTS = {name: _FLOAT_SLOTS if SUBJECT_DTYPE[name] == float else 1
-                for name in DATASET_CSV_HEADER.split(",")}
+# A row is each field's slots, then its separator. A float field is 27
+# slots: sign, "0", 4 integer digits, ".", 3 zeros, 17 digits; the longest
+# repr, 24 characters, fits. A flag is 1 slot, so a row is 120 slots.
+_FLOAT_SLOTS = 27
+_NAMES = DATASET_CSV_HEADER.split(",")
+_WIDTH = {name: _FLOAT_SLOTS if SUBJECT_DTYPE[name] == float else 1 for name in _NAMES}
+_START = dict(zip(_NAMES, itertools.accumulate((_WIDTH[n] + 1 for n in _NAMES), initial=0)))
+_ROW_SLOTS = sum(_WIDTH.values()) + len(_NAMES)
+_FLAGS = [name for name in _NAMES if _WIDTH[name] == 1]
+# x1 opens the row, and the float fields are two pairs, x1/x2 and w1/w2,
+# whose fields lie the same number of slots apart, so one strided view of
+# the slot matrix holds all four blocks
+_FLOAT_PAIRS = (("x1", "x2"), ("w1", "w2"))
+_PAIR_STEP = _START["w1"] - _START["x1"]
+_FIELD_STEP = _START["x2"] - _START["x1"]
 _PLACE = np.arange(17, dtype=np.int8)[:, None]
+_ZERO_PLACE = -2 - _PLACE[:3]
 
 
 def _fill_float(buf, mask, v):
-    """Fill one float field's 40 slot rows and their selection mask.
+    """Fill float fields' 27 slot rows and their selection masks.
 
-    Below 1 the field reads sign, "0", ".", -e10 - 1 zeros and the digits
-    from the second copy; from 1 up it reads sign, the first e10 + 1
-    digits, ".", then the rest from the second copy, or one zero for a
-    whole number. A value the kernel cannot certify is written by repr.
+    buf and mask are (..., 27, rows) and v the (..., rows) values, the
+    leading axes indexing the fields. Below 1 a field reads sign, "0", ".",
+    -e10 - 1 zeros and the digits; from 1 up it reads sign, the first
+    e10 + 1 digits (copied into the integer slots), ".", then the rest of
+    the digits, or one zero for a whole number. A value the kernel cannot
+    certify is written by repr.
     """
-    digits, e10, ndigits, certified = _shortest_digits(v)
-    e10, ndigits = e10.astype(np.int8), ndigits.astype(np.int8)
-    buf[0] = ord("-")
-    np.signbit(v, out=mask[0])
-    buf[1] = ord("0")
-    np.less(e10, 0, out=mask[1])
-    top = digits // _INT_POW10[8]
-    for half, first_slot, count in ((top, 2, 9), (digits - top * _INT_POW10[8], 11, 8)):
-        half = half.astype(np.uint32)
-        for slot in range(first_slot + count - 1, first_slot - 1, -1):
-            rest = half // 10
-            np.subtract(half, rest * 10, out=buf[slot], casting="unsafe")
-            half = rest
-    buf[2:19] += ord("0")
-    np.greater_equal(e10, _PLACE, out=mask[2:19])
-    buf[19] = ord(".")
-    mask[19] = True
-    buf[20:23] = ord("0")
-    zeros = np.where(e10 < 0, -1 - e10, ndigits <= e10 + 1)
-    np.greater(zeros, _PLACE[:3], out=mask[20:23])
-    buf[23:40] = buf[2:19]
-    np.logical_and(np.maximum(e10 + 1, 0) <= _PLACE, _PLACE < ndigits, out=mask[23:40])
-    for row in np.flatnonzero(~certified):
-        text = repr(float(v[row])).encode()
-        buf[:len(text), row] = np.frombuffer(text, dtype=np.uint8)
-        mask[:, row] = np.arange(_FLOAT_SLOTS) < len(text)
+    shape = v.shape[:-1] + (1, v.shape[-1])
+    digits, e10, ndigits, certified = (x.reshape(shape) for x in _shortest_digits(v.ravel()))
+    buf[..., 0, :] = ord("-")
+    np.signbit(v, out=mask[..., 0, :])
+    buf[..., 1, :] = ord("0")
+    np.less(e10, 0, out=mask[..., 1:2, :])
+    # the 17 digits as uint32 halves of 9 and 8 digits, peeled from the
+    # right together: step i writes digits 8 - i and 16 - i, 8 slots apart
+    halves = np.empty(v.shape[:-1] + (2, v.shape[-1]), dtype=np.uint32)
+    np.divmod(digits, _INT_POW10[8], out=(halves[..., :1, :], halves[..., 1:, :]),
+              casting="unsafe")
+    rest = np.empty_like(halves)
+    for i in range(8):
+        np.floor_divide(halves, 10, out=rest)
+        np.subtract(halves, rest * 10, out=buf[..., 18 - i:27 - i:8, :], casting="unsafe")
+        halves, rest = rest, halves
+    buf[..., 10:11, :] = halves[..., :1, :]
+    buf[..., 10:, :] += ord("0")
+    buf[..., 2:6, :] = buf[..., 10:14, :]
+    np.greater_equal(e10, _PLACE[:4], out=mask[..., 2:6, :])
+    buf[..., 6, :] = ord(".")
+    mask[..., 6, :] = True
+    buf[..., 7:10, :] = ord("0")
+    # -e10 - 1 zeros below 1, so e10 <= -2, -3, -4; one for a whole number
+    np.less_equal(e10, _ZERO_PLACE, out=mask[..., 7:10, :])
+    mask[..., 7:8, :] |= ndigits <= e10 + 1
+    # the digits after the integer part, up to the shortest's length
+    np.less(_PLACE, ndigits, out=mask[..., 10:, :])
+    mask[..., 10:14, :] &= ~mask[..., 2:6, :]
+    uncertain = np.nonzero(~certified.reshape(v.shape))
+    texts = [repr(x).encode() for x in v[uncertain].tolist()]
+    at = (*uncertain[:-1], slice(None), uncertain[-1])
+    buf[at] = np.array(texts, dtype=f"S{_FLOAT_SLOTS}").view(np.uint8).reshape(-1, _FLOAT_SLOTS)
+    mask[at] = np.arange(_FLOAT_SLOTS) < np.array([len(t) for t in texts])[:, None]
 
 
 def write_dataset_csv(ds, fh):
@@ -381,28 +439,35 @@ def write_dataset_csv(ds, fh):
 
     Floats are written as repr writes them (shortest round-trip digits,
     positional in [1e-4, 1e16)), so the file parses back to the same
-    bits; indicators and treatments are written as 0/1. A numpy kernel
-    computes the digits; a value it cannot certify is written by repr.
-    Each chunk fills one slots x rows byte matrix and a selection mask,
-    then compacts them in row order into one write.
+    bits; indicators and treatments are written as 0/1. Each chunk of
+    CSV_CHUNK_ROWS rows copies its four float columns into one buffer, one
+    numpy kernel call computes their digits and one fill writes them
+    through a strided view of the chunk's slots x rows byte matrix and
+    selection mask; a value the kernel cannot certify (zero, outside
+    [1e-4, 1e4), a near tie) is written by repr. The separators are
+    written once, and each chunk is compacted in row order into one write.
     """
     fh.write(DATASET_CSV_HEADER + "\n")
-    n_slots = sum(_FIELD_SLOTS.values()) + len(_FIELD_SLOTS)
     rows = min(len(ds), CSV_CHUNK_ROWS)
-    buf = np.empty((n_slots, rows), dtype=np.uint8)
-    mask = np.empty((n_slots, rows), dtype=bool)
+    buf = np.empty((_ROW_SLOTS, rows), dtype=np.uint8)
+    mask = np.ones((_ROW_SLOTS, rows), dtype=bool)
+    for name in _NAMES:
+        buf[_START[name] + _WIDTH[name]] = ord(",")
+    buf[-1] = ord("\n")
+    step = buf.strides[0]
+    shape = (len(_FLOAT_PAIRS), 2, _FLOAT_SLOTS, rows)
+    strides = (_PAIR_STEP * step, _FIELD_STEP * step, step, 1)
+    fields, field_mask = (np.lib.stride_tricks.as_strided(a, shape, strides)
+                          for a in (buf, mask))
+    values = np.empty(4 * rows)
     for start in range(0, len(ds), CSV_CHUNK_ROWS):
         part = ds[start:start + CSV_CHUNK_ROWS]
-        b, m = buf[:, :len(part)], mask[:, :len(part)]
-        slot = 0
-        for i, (name, width) in enumerate(_FIELD_SLOTS.items()):
-            if width == 1:
-                np.add(part[name], ord("0"), out=b[slot], casting="unsafe")
-                m[slot] = True
-            else:
-                _fill_float(b[slot:slot + width], m[slot:slot + width], part[name])
-            slot += width
-            b[slot] = ord("\n" if i == len(_FIELD_SLOTS) - 1 else ",")
-            m[slot] = True
-            slot += 1
-        fh.write(str(b.T[m.T], "ascii"))
+        n = len(part)
+        v = values[:4 * n].reshape(len(_FLOAT_PAIRS), 2, n)
+        for pair, names in zip(v, _FLOAT_PAIRS):
+            for field, name in zip(pair, names):
+                field[:] = part[name]
+        _fill_float(fields[..., :n], field_mask[..., :n], v)
+        for name in _FLAGS:
+            np.add(part[name], ord("0"), out=buf[_START[name], :n], casting="unsafe")
+        fh.write(str(buf[:, :n].T[mask[:, :n].T], "ascii"))

@@ -69,6 +69,8 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["generate", "--target-hr", "inf"]) == 2
     assert run_cli(["generate", "--n", "1"]) == 2
     assert run_cli(["simulate", "--n", "1"]) == 2
+    assert run_cli(["generate", "--seed", "-1"]) == 2
+    assert run_cli(["simulate", "--seed", "-1"]) == 2
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ from it is a formatting bug, not a rounding choice.
 
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,12 +178,57 @@ def test_the_kernel_leaves_what_it_cannot_certify_to_repr():
     assert not certified.any()
 
 
+def test_values_at_the_integer_slot_cutoff_write_like_the_reference():
+    # the float block has 4 integer slots; from 10^4 up repr writes the value
+    cutoff = [np.nextafter(1e4, 0.0), 1e4, 9999.5, -9999.999999999998,
+              99.99999999999999, 1000.0, 1e4 + 0.5, 12345.678]
+    # four integer digits that the kernel, not repr, writes
+    four_digits = [1234.5678901234, -9876.54321, 9999.123, 1000.0000000000001]
+    _, _, _, certified = simgen._shortest_digits(np.array(cutoff + four_digits))
+    assert not certified[[1, 6, 7]].any()
+    assert certified[len(cutoff):].all()
+    assert_writes_like_the_reference(cutoff + four_digits)
+
+
+def test_the_longest_reprs_fit_the_float_block():
+    longest = [-2.2250738585072014e-308, -1.7976931348623157e+308]
+    assert [len(repr(x)) for x in longest] == [24, 24]
+    assert 24 <= simgen._FLOAT_SLOTS
+    assert_writes_like_the_reference(longest)
+
+
 def test_cohort_values_are_almost_all_certified():
-    # the kernel, not repr, must format a generated cohort
+    # the kernel, not repr, must format a generated cohort: values it cannot
+    # certify, those at or above the integer-slot cutoff among them, stay
+    # below 1% of each column
     ds = gen_dataset(config_for(3, 0.25, 20_000, beta_c=0.783), RngStream(7))
     for name in FLOAT_COLUMNS:
         _, _, _, certified = simgen._shortest_digits(ds[name])
         assert certified.mean() > 0.99
+        assert (np.abs(ds[name]) >= simgen._CUTOFF).mean() < 0.01
+
+
+class NullHandle:
+    def write(self, text):
+        pass
+
+
+def writer_peak_bytes(n):
+    ds = gen_dataset(config_for(3, 0.25, n, beta_c=0.783), RngStream(7))
+    tracemalloc.start()
+    try:
+        write_dataset_csv(ds, NullHandle())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_is_bounded_by_the_chunk():
+    # measured at 1.27 MB for 2,048-row chunks: the slot matrix and mask,
+    # the chunk's four float columns and the kernel's arrays over them
+    small, large = writer_peak_bytes(20_000), writer_peak_bytes(200_000)
+    assert large < 1.1 * small
+    assert large < 1.4e6
 
 
 def test_chunked_dump_equals_the_reference_on_a_cohort(monkeypatch):
