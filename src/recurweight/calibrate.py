@@ -106,12 +106,18 @@ def lookup_calibration(target_hr):
     return None
 
 
+# Two kinds of cached arrays: _quadrature and _control_arm hand out
+# read-only arrays that every caller shares, and _scratch holds the one
+# writable set, private to _survival_terms.
+
+
 @lru_cache(maxsize=1)
 def _quadrature():
     """Normal nodes and weights (summing to 1), log-time grid and its step.
 
     numpy.polynomial is imported here, on the first oracle call, so
-    importing the package does not pay for it.
+    importing the package does not pay for it. The arrays are
+    read-only, since every solve shares them.
     """
     from numpy.polynomial.hermite_e import hermegauss
 
@@ -120,7 +126,22 @@ def _quadrature():
         -_LOG_TIME_HALF_WIDTH, _LOG_TIME_HALF_WIDTH, _LOG_TIME_POINTS,
         retstep=True,
     )
-    return nodes, weights / weights.sum(), np.exp(log_times), step
+    arrays = nodes, weights / weights.sum(), np.exp(log_times)
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, step)
+
+
+@lru_cache(maxsize=2)
+def _scratch(n_rates, n_times):
+    """Work arrays of _survival_terms for one (rates, times) shape.
+
+    They are kept between calls, so a process faults in an oracle-sized
+    set (2.7 MB) once, not on every call after the allocator has
+    trimmed it.
+    """
+    shape = (n_rates, n_times)
+    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
 
 
 def _survival_terms(times, rates, weights):
@@ -131,10 +152,18 @@ def _survival_terms(times, rates, weights):
     exp evaluated on every lane: numpy's exp gives a lane the same bits
     whatever its neighbours are, exp(-u) is 0 past the cap, and a nan
     lane still reaches exp.
+
+    The rate-by-time products, live-lane mask and exp terms are written
+    into the scratch arrays of their shape, which every call reuses, so
+    the function is not re-entrant. That is safe because the package
+    runs in parallel only across processes. Both results are fresh
+    arrays.
     """
-    u = np.outer(rates, times)
-    live = ~(u >= _EXP_ARG_CAP)
-    e = np.zeros(u.shape)
+    u, live, e = _scratch(len(rates), len(times))
+    np.multiply(rates[:, None], times, out=u)
+    np.greater_equal(u, _EXP_ARG_CAP, out=live)
+    np.logical_not(live, out=live)
+    e.fill(0.0)
     np.negative(u, out=e, where=live)
     np.exp(e, out=e, where=live)
     u *= e

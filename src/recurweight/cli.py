@@ -121,8 +121,8 @@ def _parse_targets(text, parser):
 def _positive(kind, name):
     def convert(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive")
+        if not 0 < value < np.inf:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"{name} must be positive and finite")
         return value
 
     return convert

@@ -70,8 +70,8 @@ class ScenarioConfig:
             raise ValueError("drift_sd must be positive")
         if self.n_subjects < 2:
             raise ValueError("need at least 2 subjects")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive when set")
+        if self.tau is not None and not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite when set")
 
 
 def config_for(scenario, prevalence=0.25, n_subjects=10_000, beta_c=0.0, tau=None):

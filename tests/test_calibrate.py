@@ -5,9 +5,12 @@ milliseconds; the census cross-check draws a finite potential-outcome
 population and fits it, which is what the exact value is the limit of.
 The reference oracle below is the plain form: exp on every lane of the
 rate-by-time matrix and both arms recomputed on every call. The library
-skips the lanes whose exp is 0 and computes the control arm once per
-covariate law; every comparison with the reference is exact equality.
+skips the lanes whose exp is 0, computes the control arm once per
+covariate law and reuses one set of work arrays per shape; every
+comparison with the reference is exact equality.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +159,48 @@ def test_survival_terms_equal_the_plain_form_lane_by_lane():
     assert want[0][4] > 0.0  # exp(-745) is the smallest subnormal
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+def test_survival_terms_results_do_not_alias_the_scratch():
+    # the work arrays are reused by every call of their shape, so what
+    # one call returns must survive a call at another beta_c and a call
+    # on another shape
+    _, weights, times, _ = calibrate._quadrature()
+    rates = reference_rates(1)
+    got = calibrate._survival_terms(times * np.exp(0.4), rates, weights)
+    kept = [a.tobytes() for a in got]
+    calibrate._survival_terms(times * np.exp(1.2), rates, weights)
+    one = np.ones(1)
+    calibrate._survival_terms(np.linspace(0.5, 800.0, 12), one, one)
+    assert [a.tobytes() for a in got] == kept
+    for a in got:
+        for work in calibrate._scratch(len(rates), len(times)):
+            assert not np.shares_memory(a, work)
+
+
+def test_warm_oracle_call_allocates_no_work_arrays():
+    # the three 80 x 2,000 work arrays (2.7 MB) outlive a call, so a
+    # warm call allocates only vectors over the 2,000-point grid
+    marginal_hr_oracle(0.7, 1)
+    tracemalloc.start()
+    try:
+        marginal_hr_oracle(0.7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_shared_arrays_are_read_only():
+    # every solve shares the quadrature and the control arm, so a write
+    # into one of them would corrupt every later solve
+    nodes, weights, times, _ = calibrate._quadrature()
+    rates, s0, tf0 = calibrate._control_arm(
+        1.0, ScenarioConfig.beta1, ScenarioConfig.baseline_rate
+    )
+    for a in (nodes, weights, times, rates, s0, tf0):
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 1.0
 
 
 def test_oracle_null():

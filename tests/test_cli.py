@@ -61,6 +61,11 @@ def test_parse_defaults_mirror_study_design():
 def test_usage_errors_exit_2(capsys):
     assert run_cli(["simulate", "--tau", "-1"]) == 2
     assert run_cli(["simulate", "--tau", "0.5"]) == 2  # tau without scenario
+    for tau in ("nan", "inf"):
+        assert run_cli(["simulate", "--scenario", "independent", "--tau", tau,
+                        "--n", "3", "--reps", "1"]) == 2
+        assert run_cli(["generate", "--scenario", "independent", "--tau", tau,
+                        "--n", "3", "--target-hr", "2"]) == 2
     assert run_cli(["simulate", "--no-such-flag"]) == 2
     assert run_cli(["simulate", "--prevalence", "0.3"]) == 2
     assert run_cli(["generate", "--target-hr", "1.5,2"]) == 2

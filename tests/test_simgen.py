@@ -50,8 +50,9 @@ def test_config_validation():
         ScenarioConfig(baseline_rate=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(drift_sd=-1.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(tau=-0.5)
+    for tau in (-0.5, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau"):
+            ScenarioConfig(tau=tau)
     with pytest.raises(ValueError):
         config_for(1, prevalence=0.3)
 
