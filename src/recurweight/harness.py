@@ -60,7 +60,6 @@ _REPLICATE_FAILURES = (
     WeightModelError,
     MonotoneLikelihoodError,
     CoxConvergenceError,
-    np.linalg.LinAlgError,
 )
 
 

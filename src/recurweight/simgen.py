@@ -18,8 +18,9 @@ use them beyond the indicator.
 
 Draw order is fixed (x1, treatment uniform, u1, u2, drift, second
 treatment uniform) so that the first-event columns are identical across
-scenarios under the same stream, and so that potential-outcome
-generation shares u1, u2 with the factual path.
+scenarios under the same stream. One draw stage makes these draws for
+both the cohort and the potential outcomes, so the two share x1, x2,
+u1 and u2 by construction.
 """
 
 import enum
@@ -116,30 +117,10 @@ ORACLE_DTYPE = np.dtype(
 def gen_gap_time(u, linear_predictor, rate=1.0):
     """Inverse-transform exponential gap time, -log(u) / (rate e^lp).
 
-    Accepts scalars or arrays. A float array linear_predictor is
-    overwritten with the hazard e^lp * rate, and the log, negation and
-    division run in the one array returned, so the call holds two float
-    columns at its peak (the hazard and the times) while u is read where
-    it lies, e.g. in a cohort field; u itself is never written. The
-    times have the bits of the plain form.
+    Accepts scalars or arrays and writes neither argument, so u may be
+    read where it lies, e.g. in a cohort field.
     """
-    hazard = np.asarray(linear_predictor, dtype=float)
-    np.exp(hazard, out=hazard)
-    hazard *= rate
-    time = np.empty(np.broadcast_shapes(np.shape(u), hazard.shape))
-    np.log(u, out=time)
-    np.negative(time, out=time)
-    time /= hazard
-    return time[()]
-
-
-def _base_draws(config, stream):
-    n = config.n_subjects
-    x1 = draw_normal(stream, 0.0, 1.0, n)
-    z_uniform = draw_uniform(stream, n)
-    u1 = draw_uniform(stream, n)
-    u2 = draw_uniform(stream, n)
-    return x1, z_uniform, u1, u2
+    return -np.log(u) / (np.exp(linear_predictor) * rate)
 
 
 # rows per block of gen_dataset's derived columns: a block of records and
@@ -151,16 +132,6 @@ def _row_blocks(n):
     return (slice(start, start + GEN_BLOCK_ROWS) for start in range(0, n, GEN_BLOCK_ROWS))
 
 
-def _linear_predictor(slope, x, intercept=None, coef=None, z=None):
-    """slope x, then + intercept, then + coef z, summed in one float buffer."""
-    lp = slope * x
-    if intercept is not None:
-        lp += intercept
-    if z is not None:
-        lp += coef * z
-    return lp
-
-
 def _assign_treatment(ds, name, stream, linear_predictor):
     """Draw n uniforms U and write [U < expit(lp)] into the uint8 field
     `name`, block by block; linear_predictor(block) builds a block's lp."""
@@ -170,42 +141,51 @@ def _assign_treatment(ds, name, stream, linear_predictor):
         np.less(uniform[rows], expit(linear_predictor(block)), out=block[name])
 
 
-def gen_dataset(config, stream):
-    """Generate one cohort as a structured array of subject records.
+def _draw(config, stream):
+    """The draw stage both generators share: a cohort whose w fields hold
+    u1 and u2 and whose delta fields are not yet set.
 
     The array is allocated first and each draw is written into it as
     soon as it is made, in draw order: x1 (also into x2); the treatment
     uniform, consumed at once into z1; u1 and u2, held in the w1 and w2
     fields; the drift, added into x2; the second treatment uniform,
-    consumed into z2. Then the gap times overwrite u1 and u2. Treatments,
-    gap times and censoring indicators are computed in blocks of
-    GEN_BLOCK_ROWS rows, each linear predictor in one float buffer. So
-    the peak memory is the cohort plus one drawn float column and its
-    zero mask: 45 bytes per subject, 36 of them the cohort. Each element
-    takes the operations of the whole-column formulas in their order,
-    e.g. w1 = -log(u1) / (rate exp(beta1 x1 + beta_c z1)), so the bytes
-    do not depend on the block size.
+    consumed into z2, or z2 = z1. Nothing here depends on beta_c.
     """
     c = config
     n = c.n_subjects
     ds = np.empty(n, dtype=SUBJECT_DTYPE)
     ds["x1"] = ds["x2"] = draw_normal(stream, 0.0, 1.0, n)
-    _assign_treatment(ds, "z1", stream, lambda b: _linear_predictor(c.alpha1, b["x1"], c.alpha0))
+    _assign_treatment(ds, "z1", stream, lambda b: c.alpha0 + c.alpha1 * b["x1"])
     ds["w1"] = draw_uniform(stream, n)
     ds["w2"] = draw_uniform(stream, n)
     if c.scenario is not Scenario.IndependentGaps:
         ds["x2"] += draw_normal(stream, 0.0, c.drift_sd, n)
     if c.scenario is Scenario.TVTreatmentCovariates:
-        _assign_treatment(ds, "z2", stream, lambda b: _linear_predictor(
-            c.gamma1, b["x2"], c.gamma0, c.gamma2, b["z1"]))
+        _assign_treatment(ds, "z2", stream,
+                          lambda b: c.gamma0 + c.gamma1 * b["x2"] + c.gamma2 * b["z1"])
     else:
         ds["z2"] = ds["z1"]
+    return ds
 
-    for rows in _row_blocks(n):
+
+def gen_dataset(config, stream):
+    """Generate one cohort as a structured array of subject records.
+
+    The draw stage (_draw) fills the cohort; then the gap times
+    overwrite u1 and u2 and the censoring indicators are set, in blocks
+    of GEN_BLOCK_ROWS rows. So the peak memory is the cohort plus one
+    drawn float column and its zero mask: 45 bytes per subject, 36 of
+    them the cohort. Each element takes the operations of the
+    whole-column formulas in their order, e.g.
+    w1 = -log(u1) / (exp(beta1 x1 + beta_c z1) rate), so the bytes do
+    not depend on the block size.
+    """
+    c = config
+    ds = _draw(c, stream)
+    for rows in _row_blocks(c.n_subjects):
         b = ds[rows]
         for w, x, z in (("w1", "x1", "z1"), ("w2", "x2", "z2")):
-            lp = _linear_predictor(c.beta1, b[x], coef=c.beta_c, z=b[z])
-            b[w] = gen_gap_time(b[w], lp, c.baseline_rate)
+            b[w] = gen_gap_time(b[w], c.beta1 * b[x] + c.beta_c * b[z], c.baseline_rate)
         if c.tau is None:
             b["delta1"] = 1
             b["delta2"] = 1
@@ -218,26 +198,24 @@ def gen_dataset(config, stream):
 def gen_potential_outcomes(config, stream):
     """Gap times under both forced arms, sharing one uniform per event.
 
-    Forcing an arm sets every treatment to it, so in scenario 3 the
-    intervened z drives both the second assignment and the second
-    hazard. Scenario 1 keeps x2 = x1; the drift scenarios use
-    x2 = x1 + v. Common draws across arms make the per-subject
-    contrast monotone in beta_c.
+    The draws come from the draw stage gen_dataset uses, so under the
+    same stream each subject's assigned arm reproduces its cohort gap
+    times exactly. Forcing an arm sets every treatment to it, so in
+    scenario 3 the intervened z drives both the second assignment and
+    the second hazard. Scenario 1 keeps x2 = x1; the drift scenarios use
+    x2 = x1 + v. Common draws across arms make the per-subject contrast
+    monotone in beta_c. The whole draw stage runs, so in scenario 3 the
+    second treatment uniform is consumed too and the stream is left
+    where gen_dataset leaves it.
     """
     c = config
-    n = c.n_subjects
-    x1, _, u1, u2 = _base_draws(c, stream)
-    if c.scenario is Scenario.IndependentGaps:
-        x2 = x1
-    else:
-        x2 = x1 + draw_normal(stream, 0.0, c.drift_sd, n)
-
-    out = np.empty(n, dtype=ORACLE_DTYPE)
-    out["x1"], out["x2"] = x1, x2
-    out["w1_treated"] = gen_gap_time(u1, c.beta_c + c.beta1 * x1, c.baseline_rate)
-    out["w1_control"] = gen_gap_time(u1, c.beta1 * x1, c.baseline_rate)
-    out["w2_treated"] = gen_gap_time(u2, c.beta_c + c.beta1 * x2, c.baseline_rate)
-    out["w2_control"] = gen_gap_time(u2, c.beta1 * x2, c.baseline_rate)
+    ds = _draw(c, stream)
+    out = np.empty(c.n_subjects, dtype=ORACLE_DTYPE)
+    out["x1"], out["x2"] = ds["x1"], ds["x2"]
+    for w, x in (("w1", "x1"), ("w2", "x2")):
+        lp = c.beta1 * ds[x]
+        out[f"{w}_treated"] = gen_gap_time(ds[w], lp + c.beta_c, c.baseline_rate)
+        out[f"{w}_control"] = gen_gap_time(ds[w], lp, c.baseline_rate)
     return out
 
 

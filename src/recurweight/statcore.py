@@ -25,16 +25,10 @@ def expit(x):
     """Numerically stable inverse logit, 1 / (1 + exp(-x)).
 
     Accepts scalars or arrays; saturates to 0 or 1 at extreme inputs,
-    where exp(-x) overflows to inf without a warning. Negate, exp, add
-    and divide share one output buffer, with the bits of the plain form.
+    where exp(-x) overflows to inf without a warning.
     """
-    out = np.empty(np.shape(x))
-    np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    return out[()]
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -117,12 +111,12 @@ def fit_logistic(design, response):
 
     Raises
     ------
-    WeightModelError if there are fewer rows than coefficients, or if
-    the coefficient step never fell below 1e-8 within 25 iterations.
+    WeightModelError if there are fewer rows than coefficients, if the
+    information matrix is singular, or if the coefficient step never
+    fell below 1e-8 within 25 iterations.
     SeparationError (a WeightModelError) if the response is constant,
     any coefficient exceeds 30 in absolute value during iteration
     (divergent MLE), or a fitted probability is exactly 0 or 1.
-    numpy.linalg.LinAlgError if the information matrix is singular.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -143,7 +137,10 @@ def fit_logistic(design, response):
             np.multiply(X[:, j], wls, out=XW[:, j])
         info = X.T @ XW
         score = X.T @ (y - prob)
-        step = np.linalg.solve(info, score)
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            raise WeightModelError("singular information matrix") from None
         beta += step
         if np.max(np.abs(beta)) > _SEPARATION_BOUND:
             raise SeparationError(

@@ -155,6 +155,14 @@ def test_replicate_with_too_few_observed_first_events_is_flagged():
     assert "sw1_mean" not in r.diagnostics
 
 
+def test_replicate_with_a_singular_weight_model_is_flagged():
+    # at tau = 0.3 every one of the 4 observed first events is untreated,
+    # so the second propensity model's z1 column is all zeros
+    r = run_replicate(config_for(3, 0.25, 12, beta_c=0.783, tau=0.3), 1234, 0)
+    assert r.failed
+    assert r.diagnostics["failure"] == "WeightModelError: singular information matrix"
+
+
 @pytest.mark.parametrize(
     "scenario, prevalence, n, index",
     [

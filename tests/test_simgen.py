@@ -156,14 +156,19 @@ def test_potential_outcomes_monotone_in_effect():
     assert np.all(po["w2_treated"] < po["w2_control"])
 
 
-def test_potential_outcomes_share_first_event_with_dataset():
-    # same stream: the factual w1 must equal the potential outcome of
-    # the arm actually assigned, because u1 is drawn at the same point
-    cfg = config_for(1, 0.25, 3_000, beta_c=0.5)
+@pytest.mark.parametrize("event", [1, 2])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_potential_outcomes_share_the_cohort_draws(scenario, event):
+    # same stream: both generators run one draw stage, so the potential
+    # outcome of the arm a subject was assigned is its cohort gap time
+    cfg = non_default_config(scenario, 3_000)
     ds = gen_dataset(cfg, RngStream(23))
     po = gen_potential_outcomes(cfg, RngStream(23))
-    factual = np.where(ds["z1"] == 1, po["w1_treated"], po["w1_control"])
-    assert np.allclose(ds["w1"], factual, rtol=0, atol=0)
+    w, z = f"w{event}", f"z{event}"
+    factual = np.where(ds[z] == 1, po[f"{w}_treated"], po[f"{w}_control"])
+    assert np.array_equal(ds[w], factual)
+    for x in ("x1", "x2"):
+        assert np.array_equal(po[x], ds[x])
 
 
 def test_csv_roundtrip(tmp_path, monkeypatch):
@@ -198,6 +203,14 @@ NON_DEFAULT_DIGESTS = {
     3: "a7816bfb0afdb01de9f9b1c613ab45e63b1708d8213f3f77a1be381848f26d30",
 }
 
+# sha256 of gen_potential_outcomes(...).tobytes() for the same configs;
+# the oracle ignores the gammas and tau, so scenarios 2 and 3 agree
+POTENTIAL_OUTCOME_DIGESTS = {
+    1: "c0c613032f10e0f89ce5bab76d0b9f301dbf87023fa76e50b6b42c2fbca119e3",
+    2: "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
+    3: "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
+}
+
 
 def non_default_config(scenario, n_subjects=5_000):
     return ScenarioConfig(
@@ -216,6 +229,12 @@ def non_default_config(scenario, n_subjects=5_000):
 def test_dataset_bytes_match_the_recorded_digest(scenario):
     ds = gen_dataset(non_default_config(scenario), RngStream(2029, 7))
     assert hashlib.sha256(ds.tobytes()).hexdigest() == NON_DEFAULT_DIGESTS[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(POTENTIAL_OUTCOME_DIGESTS))
+def test_potential_outcome_bytes_match_the_recorded_digest(scenario):
+    po = gen_potential_outcomes(non_default_config(scenario), RngStream(2029, 7))
+    assert hashlib.sha256(po.tobytes()).hexdigest() == POTENTIAL_OUTCOME_DIGESTS[scenario]
 
 
 @pytest.mark.parametrize("tau", [None, 0.5])
@@ -328,7 +347,9 @@ def test_gap_time_matches_the_plain_form_and_leaves_u():
     u = draw_uniform(RngStream(44), 100)
     lp = np.linspace(-1.0, 1.0, 100)
     expected = -np.log(u) / (2.5 * np.exp(lp))
-    u_before = u.copy()
+    u_before, lp_before = u.copy(), lp.copy()
     times = gen_gap_time(u, lp, 2.5)
     assert np.array_equal(times, expected)
+    # neither argument is written
     assert np.array_equal(u, u_before)
+    assert np.array_equal(lp, lp_before)

@@ -177,7 +177,7 @@ class TestFitLogistic:
     def test_singular_design(self):
         X = np.column_stack([np.ones(6), np.ones(6)])
         y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(WeightModelError, match="singular information matrix"):
             fit_logistic(X, y)
 
     def test_intercept_score_equation(self):

@@ -49,7 +49,10 @@ def reference_fit_logistic(design, response):
         wls = prob * (1.0 - prob)
         info = X.T @ (X * wls[:, None])
         score = X.T @ (y - prob)
-        step = np.linalg.solve(info, score)
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            raise WeightModelError("singular information matrix") from None
         beta += step
         if np.max(np.abs(beta)) > 30.0:
             raise SeparationError("coefficient magnitude exceeded 30.0: separated data")
