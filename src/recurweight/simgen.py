@@ -25,12 +25,12 @@ u1 and u2 by construction.
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .statcore import RngStream, draw_normal, draw_uniform, expit
+from .statcore import RngStream, draw_normal, expit, redraw_zeros
 
 
 class Scenario(enum.IntEnum):
@@ -65,10 +65,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.scenario = Scenario(self.scenario)
-        if self.baseline_rate <= 0:
-            raise ValueError("baseline_rate must be positive")
-        if self.drift_sd <= 0:
-            raise ValueError("drift_sd must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name in ("baseline_rate", "drift_sd") and value <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.n_subjects < 2:
             raise ValueError("need at least 2 subjects")
         if self.tau is not None and not 0 < self.tau < np.inf:
@@ -123,46 +125,47 @@ def gen_gap_time(u, linear_predictor, rate=1.0):
     return -np.log(u) / (np.exp(linear_predictor) * rate)
 
 
-# rows per block of gen_dataset's derived columns: a block of records and
-# its temporaries stay in cache while the block's columns are computed
+# rows per block of the draw stage and of gen_dataset's derived columns: a
+# block and its temporaries stay in cache, and no column-length one is made
 GEN_BLOCK_ROWS = 16_384
 
 
-def _row_blocks(n):
-    return (slice(start, start + GEN_BLOCK_ROWS) for start in range(0, n, GEN_BLOCK_ROWS))
-
-
-def _assign_treatment(ds, name, stream, linear_predictor):
-    """Draw n uniforms U and write [U < expit(lp)] into the uint8 field
-    `name`, block by block; linear_predictor(block) builds a block's lp."""
-    uniform = draw_uniform(stream, len(ds))
-    for rows in _row_blocks(len(ds)):
-        block = ds[rows]
-        np.less(uniform[rows], expit(linear_predictor(block)), out=block[name])
+def _fill(ds, stream, name, value=lambda records, v: v, sd=None):
+    """Write value(records, draws) into field `name` (each field, given a
+    list) block by block, the draws normal(0, sd) or, without sd, uniform
+    on (0, 1): the values of one whole-column draw, as consecutive blocks
+    continue the stream. A uniform's zeros are redrawn after the column,
+    as draw_uniform redraws them."""
+    zeros = []
+    for start in range(0, len(ds), GEN_BLOCK_ROWS):
+        b = ds[start:start + GEN_BLOCK_ROWS]
+        v = stream._gen.random(len(b)) if sd is None else draw_normal(stream, 0.0, sd, len(b))
+        if sd is None and not v.all():
+            zeros.append(start + np.flatnonzero(v == 0.0))
+        b[name] = value(b, v)
+    if zeros:
+        at = np.concatenate(zeros)
+        ds[name][at] = value(ds[at], redraw_zeros(stream, np.zeros(at.size)))
 
 
 def _draw(config, stream):
     """The draw stage both generators share: a cohort whose w fields hold
-    u1 and u2 and whose delta fields are not yet set.
-
-    The array is allocated first and each draw is written into it as
-    soon as it is made, in draw order: x1 (also into x2); the treatment
-    uniform, consumed at once into z1; u1 and u2, held in the w1 and w2
-    fields; the drift, added into x2; the second treatment uniform,
-    consumed into z2, or z2 = z1. Nothing here depends on beta_c.
-    """
+    u1 and u2 and whose delta fields are not yet set. Each column is
+    drawn into it block by block (_fill) in the module's draw order: x1,
+    also into x2; the treatment uniforms, consumed at once into z1 and
+    z2; the drift, added into x2. Without a second assignment z2 = z1.
+    Nothing here depends on beta_c."""
     c = config
-    n = c.n_subjects
-    ds = np.empty(n, dtype=SUBJECT_DTYPE)
-    ds["x1"] = ds["x2"] = draw_normal(stream, 0.0, 1.0, n)
-    _assign_treatment(ds, "z1", stream, lambda b: c.alpha0 + c.alpha1 * b["x1"])
-    ds["w1"] = draw_uniform(stream, n)
-    ds["w2"] = draw_uniform(stream, n)
+    ds = np.empty(c.n_subjects, dtype=SUBJECT_DTYPE)
+    _fill(ds, stream, ["x1", "x2"], sd=1.0)
+    _fill(ds, stream, "z1", lambda b, u: u < expit(c.alpha0 + c.alpha1 * b["x1"]))
+    _fill(ds, stream, "w1")
+    _fill(ds, stream, "w2")
     if c.scenario is not Scenario.IndependentGaps:
-        ds["x2"] += draw_normal(stream, 0.0, c.drift_sd, n)
+        _fill(ds, stream, "x2", lambda b, v: b["x2"] + v, sd=c.drift_sd)
     if c.scenario is Scenario.TVTreatmentCovariates:
-        _assign_treatment(ds, "z2", stream,
-                          lambda b: c.gamma0 + c.gamma1 * b["x2"] + c.gamma2 * b["z1"])
+        _fill(ds, stream, "z2",
+              lambda b, u: u < expit(c.gamma0 + c.gamma1 * b["x2"] + c.gamma2 * b["z1"]))
     else:
         ds["z2"] = ds["z1"]
     return ds
@@ -171,24 +174,22 @@ def _draw(config, stream):
 def gen_dataset(config, stream):
     """Generate one cohort as a structured array of subject records.
 
-    The draw stage (_draw) fills the cohort; then the gap times
-    overwrite u1 and u2 and the censoring indicators are set, in blocks
-    of GEN_BLOCK_ROWS rows. So the peak memory is the cohort plus one
-    drawn float column and its zero mask: 45 bytes per subject, 36 of
-    them the cohort. Each element takes the operations of the
-    whole-column formulas in their order, e.g.
-    w1 = -log(u1) / (exp(beta1 x1 + beta_c z1) rate), so the bytes do
-    not depend on the block size.
+    The draw stage (_draw) fills the cohort; then, block by block, the
+    gap times overwrite u1 and u2 and the censoring indicators are set.
+    So generation peaks at the cohort, 36 bytes per subject, plus one
+    block's temporaries, about 33 bytes per block row (0.53 MB). Each
+    element takes the whole-column formulas' operations in their order,
+    e.g. w1 = -log(u1) / (exp(beta1 x1 + beta_c z1) rate), so the bytes
+    do not depend on the block size.
     """
     c = config
     ds = _draw(c, stream)
-    for rows in _row_blocks(c.n_subjects):
-        b = ds[rows]
+    for start in range(0, c.n_subjects, GEN_BLOCK_ROWS):
+        b = ds[start:start + GEN_BLOCK_ROWS]
         for w, x, z in (("w1", "x1", "z1"), ("w2", "x2", "z2")):
             b[w] = gen_gap_time(b[w], c.beta1 * b[x] + c.beta_c * b[z], c.baseline_rate)
         if c.tau is None:
-            b["delta1"] = 1
-            b["delta2"] = 1
+            b["delta1"] = b["delta2"] = 1
         else:
             b["delta1"] = b["w1"] <= c.tau
             b["delta2"] = (b["w1"] + b["w2"]) <= c.tau

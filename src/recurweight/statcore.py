@@ -53,18 +53,17 @@ def draw_uniform(stream, size=None):
     """Uniform draws on the open interval (0, 1).
 
     numpy's generator returns values in [0, 1); exact zeros (probability
-    2^-53 per draw) are redrawn so that downstream -log(u) transforms
-    stay finite.
+    2^-53 per draw) are redrawn (redraw_zeros) so that downstream -log(u)
+    transforms stay finite.
     """
-    u = stream._gen.random(size)
-    if size is None:
-        while u == 0.0:
-            u = stream._gen.random()
-        return u
-    zero = u == 0.0
-    while np.any(zero):
+    u = redraw_zeros(stream, np.atleast_1d(stream._gen.random(size)))
+    return float(u[0]) if size is None else u
+
+
+def redraw_zeros(stream, u):
+    """Redraw u's exact zeros in place, in index order, until none is left."""
+    while (zero := u == 0.0).any():
         u[zero] = stream._gen.random(int(zero.sum()))
-        zero = u == 0.0
     return u
 
 

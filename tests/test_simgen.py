@@ -2,6 +2,7 @@
 draw-order alignment across scenarios, censoring-indicator logic, and
 the generator's pinned bytes, draw order and peak memory."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from recurweight.simgen import (
     DATASET_CSV_HEADER,
     GAMMA0_BY_PREVALENCE,
     LN15,
+    SUBJECT_DTYPE,
     Scenario,
     ScenarioConfig,
     config_for,
@@ -24,7 +26,7 @@ from recurweight.simgen import (
     gen_potential_outcomes,
     write_dataset_csv,
 )
-from recurweight.statcore import RngStream, draw_uniform
+from recurweight.statcore import RngStream, draw_uniform, expit
 
 
 def test_gap_time_unit():
@@ -53,6 +55,14 @@ def test_config_validation():
     for tau in (-0.5, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau"):
             ScenarioConfig(tau=tau)
+    # a non-finite slope, intercept, effect, rate or drift would give nan
+    # gap times, which fail later and far from their cause
+    floats = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type is float]
+    assert len(floats) == 9
+    for name in floats:
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ScenarioConfig(**{name: value})
     with pytest.raises(ValueError):
         config_for(1, prevalence=0.3)
 
@@ -203,7 +213,15 @@ NON_DEFAULT_DIGESTS = {
     3: "a7816bfb0afdb01de9f9b1c613ab45e63b1708d8213f3f77a1be381848f26d30",
 }
 
-# sha256 of gen_potential_outcomes(...).tobytes() for the same configs;
+# the same configs at 40,000 subjects: three blocks of GEN_BLOCK_ROWS rows,
+# the last one partial
+MULTI_BLOCK_DIGESTS = {
+    1: "323b139836fdc9f709293cd3c34abe4d42adbe0ea358e8f630aa04ec80b3c20b",
+    2: "e8a0835158f7de5222aa5338c7eab0c23903b8e760abfcb976f916b36995282b",
+    3: "fee88296538a790884aa4340ea1da26122d0bf45acbb8a60abc971f8a37c0849",
+}
+
+# sha256 of gen_potential_outcomes(...).tobytes() for the 5,000-subject configs;
 # the oracle ignores the gammas and tau, so scenarios 2 and 3 agree
 POTENTIAL_OUTCOME_DIGESTS = {
     1: "c0c613032f10e0f89ce5bab76d0b9f301dbf87023fa76e50b6b42c2fbca119e3",
@@ -231,6 +249,13 @@ def test_dataset_bytes_match_the_recorded_digest(scenario):
     assert hashlib.sha256(ds.tobytes()).hexdigest() == NON_DEFAULT_DIGESTS[scenario]
 
 
+@pytest.mark.parametrize("scenario", sorted(MULTI_BLOCK_DIGESTS))
+def test_multi_block_dataset_bytes_match_the_recorded_digest(scenario):
+    assert 40_000 // simgen.GEN_BLOCK_ROWS == 2
+    ds = gen_dataset(non_default_config(scenario, 40_000), RngStream(2029, 7))
+    assert hashlib.sha256(ds.tobytes()).hexdigest() == MULTI_BLOCK_DIGESTS[scenario]
+
+
 @pytest.mark.parametrize("scenario", sorted(POTENTIAL_OUTCOME_DIGESTS))
 def test_potential_outcome_bytes_match_the_recorded_digest(scenario):
     po = gen_potential_outcomes(non_default_config(scenario), RngStream(2029, 7))
@@ -240,8 +265,9 @@ def test_potential_outcome_bytes_match_the_recorded_digest(scenario):
 @pytest.mark.parametrize("tau", [None, 0.5])
 @pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_dataset_peak_memory_stays_near_the_cohort(scenario, tau):
-    # the cohort is 36 bytes per subject; on top of it generation may hold
-    # about two float columns and a draw's zero mask, never every column
+    # the cohort is 36 bytes per subject; on top of it generation holds one
+    # block's temporaries, measured at 32.2-32.6 bytes per block row, and
+    # no column-length array: 40 bytes per block row leave a 23% margin
     n = 200_000
     cfg = config_for(scenario, 0.25, n, beta_c=0.7, tau=tau)
     tracemalloc.start()
@@ -251,7 +277,8 @@ def test_dataset_peak_memory_stays_near_the_cohort(scenario, tau):
     finally:
         tracemalloc.stop()
     assert ds.nbytes == 36 * n
-    assert peak <= 60 * n, f"{peak / n:.1f} bytes per subject"
+    extra = peak - ds.nbytes
+    assert extra <= 40 * simgen.GEN_BLOCK_ROWS, f"{extra / simgen.GEN_BLOCK_ROWS:.1f} B per block row"
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
@@ -264,18 +291,23 @@ def test_dataset_bytes_do_not_depend_on_the_block_size(scenario, monkeypatch):
 
 
 class ZeroingGenerator:
-    """A stream's generator whose k-th `random` call returns exact zeros
-    at the given positions; everything else passes through."""
+    """A stream's generator whose uniforms at the given stream positions
+    come back as exact zeros, position p being the p-th value `random`
+    returns across all calls; everything else passes through. Placing
+    zeros by position, not by call, keeps them where they are however a
+    column is split into calls."""
 
-    def __init__(self, gen, zeros_by_call):
+    def __init__(self, gen, positions):
         self._gen = gen
-        self.zeros_by_call = zeros_by_call
+        self.positions = np.asarray(positions, dtype=np.intp)
         self.calls = 0
+        self.drawn = 0
 
     def random(self, size=None):
         u = self._gen.random(size)
-        for i in self.zeros_by_call.get(self.calls, ()):
-            u[i] = 0.0
+        at = self.positions - self.drawn
+        u[at[(at >= 0) & (at < size)]] = 0.0
+        self.drawn += size
         self.calls += 1
         return u
 
@@ -286,9 +318,9 @@ class ZeroingGenerator:
 def test_draw_uniform_replaces_zeros_from_the_stream_in_order():
     stream = RngStream(41)
     # call 0 draws 10 values with zeros at 2 and 7; the redraw of those two
-    # (call 1) comes back with a zero in its second place, so position 7
-    # is drawn a third time (call 2)
-    stream._gen = ZeroingGenerator(stream._gen, {0: [2, 7], 1: [1]})
+    # (call 1, positions 10 and 11) comes back with a zero in its second
+    # place, so position 7 is drawn a third time (call 2)
+    stream._gen = ZeroingGenerator(stream._gen, [2, 7, 11])
     u = draw_uniform(stream, 10)
     assert stream._gen.calls == 3
     assert np.all(u > 0.0)
@@ -306,7 +338,7 @@ def test_draw_uniform_redraws_a_zero_scalar():
             return 0.0 if self.calls == 1 else self._gen.random(size)
 
     stream = RngStream(42)
-    stream._gen = ScalarZero(stream._gen, {})
+    stream._gen = ScalarZero(stream._gen, [])
     u = draw_uniform(stream)
     assert stream._gen.calls == 2
     assert u == RngStream(42)._gen.random()
@@ -314,12 +346,13 @@ def test_draw_uniform_redraws_a_zero_scalar():
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_dataset_draw_order(scenario):
-    # zeros in the treatment uniform (call 0) and in u1 (call 2) are
-    # redrawn at once, before the next column is drawn
+    # zeros in the treatment uniform (positions 0 to n - 1) and in u1
+    # (from n + 2, after the two redraws) are redrawn at once, before the
+    # next column is drawn
     n = 1_000
     cfg = non_default_config(scenario, n)
     stream = RngStream(43)
-    stream._gen = ZeroingGenerator(stream._gen, {0: [3, 5], 2: [11]})
+    stream._gen = ZeroingGenerator(stream._gen, [3, 5, n + 2 + 11])
     ds = gen_dataset(cfg, stream)
 
     fresh = RngStream(43)._gen
@@ -341,6 +374,49 @@ def test_dataset_draw_order(scenario):
     for w, x, z, u in (("w1", "x1", "z1", u1), ("w2", "x2", "z2", u2)):
         hazard = cfg.baseline_rate * np.exp(cfg.beta_c * ds[z] + cfg.beta1 * ds[x])
         assert np.allclose(np.exp(-ds[w] * hazard), u, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
+    # 200 rows are three 64-row blocks and a partial one. The zeros sit in
+    # the second block of the treatment uniform (positions 0 to n - 1) and
+    # of u1; each column's zeros are redrawn after the whole column, in
+    # row order, and the first redraw of row 100 (position n + 1) is a
+    # zero again, so u1 starts at n + 3
+    monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
+    n = 200
+    cfg = non_default_config(scenario, n)
+    stream = RngStream(50)
+    stream._gen = ZeroingGenerator(stream._gen, [70, 100, n + 1, n + 3 + 130])
+    ds = gen_dataset(cfg, stream)
+
+    fresh = RngStream(50)._gen
+    x1 = fresh.normal(0.0, 1.0, n)
+    t1 = fresh.random(n)
+    t1[70] = fresh.random(2)[0]
+    t1[100] = fresh.random(1)[0]
+    u1 = fresh.random(n)
+    u1[130] = fresh.random(1)[0]
+    u2 = fresh.random(n)
+    x2 = x1 if scenario == 1 else x1 + fresh.normal(0.0, cfg.drift_sd, n)
+    z1 = (t1 < expit(cfg.alpha0 + cfg.alpha1 * x1)).astype(np.uint8)
+    z2 = z1
+    if scenario == 3:
+        t2 = fresh.random(n)
+        z2 = (t2 < expit(cfg.gamma0 + cfg.gamma1 * x2 + cfg.gamma2 * z1)).astype(np.uint8)
+    assert stream._gen.bit_generator.state == fresh.bit_generator.state
+
+    # z1 at a redrawn row is set from the redrawn uniform: 1 at row 70 and
+    # 0 at row 100, where the zero itself would set 1 at both
+    redrawn = [70, 100]
+    assert z1[redrawn].tolist() == [1, 0]
+    assert np.array_equal(ds["z1"][redrawn], z1[redrawn])
+    w1 = gen_gap_time(u1, cfg.beta1 * x1 + cfg.beta_c * z1, cfg.baseline_rate)
+    w2 = gen_gap_time(u2, cfg.beta1 * x2 + cfg.beta_c * z2, cfg.baseline_rate)
+    expected = {"x1": x1, "x2": x2, "z1": z1, "z2": z2, "w1": w1, "w2": w2,
+                "delta1": w1 <= cfg.tau, "delta2": w1 + w2 <= cfg.tau}
+    for name in SUBJECT_DTYPE.names:
+        assert np.array_equal(ds[name], expected[name]), name
 
 
 def test_gap_time_matches_the_plain_form_and_leaves_u():
