@@ -119,8 +119,6 @@ def _run_replicate_inner(config, master_seed, replicate_index, diagnostics):
     if config.tau is not None:
         diagnostics["censored_frac_event1"] = float(1.0 - ds["delta1"].mean())
         diagnostics["censored_frac_event2"] = float(1.0 - ds["delta2"].mean())
-        diagnostics["censored_analysis"] = "risk-set"
-        diagnostics["weight_models"] = "observed-rows"
     tw = build_treatment_weights(ds, config.scenario)
     kept = np.count_nonzero(ds["delta1"])
     diagnostics["sw1_mean"] = float(tw.sw1.mean())

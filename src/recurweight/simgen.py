@@ -25,6 +25,7 @@ u1 and u2 by construction.
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -71,6 +72,10 @@ class ScenarioConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if f.name in ("baseline_rate", "drift_sd") and value <= 0:
                 raise ValueError(f"{f.name} must be positive")
+        try:
+            operator.index(self.n_subjects)
+        except TypeError:
+            raise ValueError(f"n_subjects must be an integer, got {self.n_subjects!r}") from None
         if self.n_subjects < 2:
             raise ValueError("need at least 2 subjects")
         if self.tau is not None and not 0 < self.tau < np.inf:

@@ -426,6 +426,12 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             make_sample([1.0, 2.0], [1, 1], [1, 0], w=[1.0, -0.5])
 
+    # the one finiteness check a weight meets on its way to a fit
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            make_sample([1.0, 2.0], [1, 1], [1, 0], w=[1.0, bad])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             SurvivalSample(

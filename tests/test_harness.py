@@ -121,8 +121,6 @@ def test_replicate_censored_diagnostics():
     cfg = config_for(3, 0.25, 4_000, beta_c=0.4599, tau=1.0)
     r = run_replicate(cfg, 7, 1)
     assert not r.failed
-    assert r.diagnostics["censored_analysis"] == "risk-set"
-    assert r.diagnostics["weight_models"] == "observed-rows"
     assert 0.2 < r.diagnostics["censored_frac_event1"] < 0.45
     assert r.diagnostics["censored_frac_event2"] > r.diagnostics["censored_frac_event1"]
     # sw2 is 0 where the first event was censored; the mean skips those rows
@@ -204,7 +202,6 @@ def test_replicate_without_observed_first_event_warns_nothing():
     assert d["failure"].startswith("MonotoneLikelihoodError: ")
     assert d["prevalence_z1"] == d["prevalence_z2"] == pytest.approx(0.15)
     assert d["censored_frac_event1"] == d["censored_frac_event2"] == 1.0
-    assert d["censored_analysis"] == "risk-set"
     tw = build_treatment_weights(gen_dataset(cfg, RngStream(1, 0)), 1)
     assert d["sw1_mean"] == tw.sw1.mean()
     assert d["sw1_max"] == tw.sw1.max()

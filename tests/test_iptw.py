@@ -1,75 +1,51 @@
 """Weight-construction tests.
 
-Scalar formulas are checked by direct substitution, the vector builders
-by the mean-one property of stabilized weights and by the algebraic
-identity between the joint four-term form and the product form.
+The weight builder is checked by the mean-one property of stabilized
+weights, by the algebraic identity between the joint form of sw2 and
+the product form, and by the treatment values it accepts. The
+formulas themselves are pinned bit for bit by test_weights_identity.
 """
 
 import numpy as np
 import pytest
 
-from recurweight.iptw import (
-    TreatmentWeights,
-    build_treatment_weights,
-    stabilized_weight_e1,
-    stabilized_weight_e2,
-)
+from recurweight.iptw import build_treatment_weights
 from recurweight.simgen import ScenarioConfig, config_for, gen_dataset
-from recurweight.statcore import RngStream, SeparationError, WeightModelError
+from recurweight.statcore import RngStream, SeparationError, WeightModelError, fit_logistic
 
 
-def test_sw1_treated():
-    assert stabilized_weight_e1(1, 0.5, 0.25) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_sw1_control():
-    assert stabilized_weight_e1(0, 0.2, 0.25) == pytest.approx(0.9375, abs=1e-15)
-
-
-def test_sw1_rejects_degenerate_propensity():
-    with pytest.raises(ValueError):
-        stabilized_weight_e1(1, 0.0, 0.25)
-    with pytest.raises(ValueError):
-        stabilized_weight_e1(1, 1.0, 0.25)
-    with pytest.raises(ValueError):
-        stabilized_weight_e1(1, 0.5, 0.0)
+def _float_z(ds):
+    """A copy of the cohort with every field float, as read back from a CSV."""
+    return ds.astype([(name, float) for name in ds.dtype.names])
 
 
 @pytest.mark.parametrize("z1", [0.5, 2.0, -1.0, np.nan])
 def test_sw1_rejects_non_binary_treatment(z1):
+    ds = _float_z(gen_dataset(config_for(1, 0.25, 200), RngStream(29)))
+    ds["z1"][7] = z1
     with pytest.raises(ValueError, match="z1 values must be 0 or 1"):
-        stabilized_weight_e1(z1, 0.4, 0.3)
-    with pytest.raises(ValueError, match="z1 values must be 0 or 1"):
-        stabilized_weight_e1(np.array([0.0, z1, 1.0]), np.full(3, 0.4), 0.3)
+        build_treatment_weights(ds, 1)
 
 
-@pytest.mark.parametrize("z1,z2", [(0.5, 1.0), (1.0, 2.0), (0.0, 0.5), (2.0, 0.0)])
+@pytest.mark.parametrize("z1,z2", [(0.5, 1.0), (1.0, 2.0), (0.0, 0.5), (2.0, 0.0),
+                                   (0.0, -1.0), (1.0, np.nan)])
 def test_sw2_rejects_non_binary_treatment(z1, z2):
-    p = np.array([[0.6, 0.15], [0.15, 0.1]])
+    ds = _float_z(gen_dataset(config_for(3, 0.25, 200), RngStream(30)))
+    ds["z1"][7], ds["z2"][7] = z1, z2
     name = "z1" if z1 not in (0.0, 1.0) else "z2"
     with pytest.raises(ValueError, match=f"{name} values must be 0 or 1"):
-        stabilized_weight_e2(z1, z2, 0.5, 0.4, p)
-    with pytest.raises(ValueError, match=f"{name} values must be 0 or 1"):
-        stabilized_weight_e2(np.array([1.0, z1]), np.array([0.0, z2]),
-                             np.full(2, 0.5), np.full(2, 0.4), p)
+        build_treatment_weights(ds, 3)
 
 
-def test_sw2_matching_term():
-    p = np.array([[0.6, 0.15], [0.15, 0.1]])
-    assert stabilized_weight_e2(1, 1, 0.5, 0.4, p) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_sw2_unit_when_balanced():
-    p = np.full((2, 2), 0.25)
-    assert stabilized_weight_e2(0, 0, 0.5, 0.5, p) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_sw2_rejects_degenerate():
-    p = np.full((2, 2), 0.25)
-    with pytest.raises(ValueError):
-        stabilized_weight_e2(1, 1, 0.5, 1.0, p)
-    with pytest.raises(ValueError):
-        stabilized_weight_e2(1, 1, 0.5, 0.5, np.array([[1.5, 0], [0, -0.5]]))
+@pytest.mark.parametrize("tau", [None, 1.0])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_float_treatment_columns_give_the_same_weights(scenario, tau):
+    ds = gen_dataset(config_for(scenario, 0.5, 2_000, beta_c=0.4599, tau=tau),
+                     RngStream(34))
+    want = build_treatment_weights(ds, scenario)
+    got = build_treatment_weights(_float_z(ds), scenario)
+    assert np.array_equal(got.sw1, want.sw1)
+    assert np.array_equal(got.sw2, want.sw2)
 
 
 def test_sw1_mean_one():
@@ -119,23 +95,20 @@ def test_sw1_depends_only_on_z_and_propensity():
 
 
 def test_four_term_equals_product_form():
-    # joint form p_{z1 z2} / (e1-term * e2-term) versus
-    # sw1 * [P(Z2=z2|Z1=z1) / e2-term], with a consistent joint table
-    rng = np.random.default_rng(39)
-    n = 1_000
-    z1 = rng.integers(0, 2, n)
-    z2 = rng.integers(0, 2, n)
-    e1 = rng.uniform(0.05, 0.95, n)
-    e2 = rng.uniform(0.05, 0.95, n)
-    p_joint = np.array([[0.55, 0.15], [0.1, 0.2]])
-    p1 = p_joint[1].sum()
-
-    four_term = stabilized_weight_e2(z1, z2, e1, e2, p_joint)
-    sw1 = stabilized_weight_e1(z1, e1, p1)
-    cond_num = p_joint[z1, z2] / p_joint.sum(axis=1)[z1]
-    e2_term = z2 * e2 + (1 - z2) * (1 - e2)
-    product_form = sw1 * cond_num / e2_term
-    assert np.allclose(four_term, product_form, rtol=1e-12, atol=0)
+    # the built joint form p_{z1 z2} / (f1 f2) versus the product form
+    # sw1 * P(Z2=z2 | Z1=z1) / f2, with f2 = P(Z2=z2 | x2, z1) refit here
+    ds = gen_dataset(config_for(3, 0.25, 5_000, beta_c=0.4599), RngStream(39))
+    tw = build_treatment_weights(ds, 3)
+    n = len(ds)
+    z1 = ds["z1"].astype(int)
+    z2 = ds["z2"].astype(int)
+    design = np.column_stack([np.ones(n), ds["x2"], z1])
+    e2 = fit_logistic(design, z2).fitted_probabilities
+    counts = np.bincount(2 * z1 + z2, minlength=4).reshape(2, 2)
+    conditional = counts[z1, z2] / counts.sum(axis=1)[z1]
+    f2 = np.where(z2 == 1, e2, 1.0 - e2)
+    product_form = tw.sw1 * conditional / f2
+    assert np.allclose(tw.sw2, product_form, rtol=1e-12, atol=0)
 
 
 def test_censored_fit_uses_observed_rows():
@@ -180,14 +153,6 @@ def test_too_few_observed_rows_for_the_second_model_raise():
     ds["delta1"][:2] = 1
     with pytest.raises(WeightModelError, match="fewer rows than coefficients"):
         build_treatment_weights(ds, 3)
-
-
-def test_treatment_weights_validation():
-    ones = np.ones(3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        TreatmentWeights(ones, -ones)
-    with pytest.raises(ValueError, match="finite"):
-        TreatmentWeights(np.array([1.0, np.inf, 1.0]), ones)
 
 
 def _censored_dataset(n, tau, seed, beta_c=0.4599):

@@ -48,6 +48,14 @@ def test_gap_time_exponential_mean():
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(n_subjects=1)
+    # a float or string count would fail later inside np.empty, a
+    # TypeError that aborts a study instead of flagging a replicate
+    for n in (1e4, 2.5, "10"):
+        with pytest.raises(ValueError, match=f"n_subjects must be an integer, got {n!r}"):
+            ScenarioConfig(n_subjects=n)
+    with pytest.raises(ValueError, match=r"n_subjects must be an integer, got 10000\.0"):
+        config_for(1, 0.25, 1e4)
+    assert ScenarioConfig(n_subjects=np.int64(30)).n_subjects == 30
     with pytest.raises(ValueError):
         ScenarioConfig(baseline_rate=0.0)
     with pytest.raises(ValueError):

@@ -15,11 +15,7 @@ import pytest
 
 from recurweight.coxfit import SurvivalSample, fit_weighted_cox
 from recurweight.harness import _REPLICATE_FAILURES, run_replicate
-from recurweight.iptw import (
-    TreatmentWeights,
-    build_treatment_weights,
-    stabilized_weight_e1,
-)
+from recurweight.iptw import TreatmentWeights, build_treatment_weights
 from recurweight.simgen import Scenario, config_for, gen_dataset
 from recurweight.statcore import (
     LogisticFit,
@@ -209,8 +205,11 @@ def test_failed_replicates_equal_the_reference(scenario, tau):
 
 
 def test_sw1_is_exactly_one_quotient_per_arm():
-    e1 = np.array([0.1, 0.37, 0.5, 0.93])
-    z1 = np.array([1, 0, 1, 0])
-    sw1 = stabilized_weight_e1(z1, e1, 0.3)
-    assert np.array_equal(sw1[z1 == 1], 0.3 / e1[z1 == 1])
-    assert np.array_equal(sw1[z1 == 0], 0.7 / (1.0 - e1[z1 == 0]))
+    ds = gen_dataset(config_for(1, 0.25, 3_000), RngStream(911))
+    sw1 = build_treatment_weights(ds, 1).sw1
+    z1 = ds["z1"].astype(float)
+    e1 = fit_logistic(np.column_stack([np.ones(len(ds)), ds["x1"]]), z1).fitted_probabilities
+    p1 = float(z1.mean())
+    treated = z1 == 1.0
+    assert np.array_equal(sw1[treated], p1 / e1[treated])
+    assert np.array_equal(sw1[~treated], (1.0 - p1) / (1.0 - e1[~treated]))
