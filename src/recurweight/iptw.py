@@ -75,8 +75,8 @@ def build_treatment_weights(dataset, scenario):
         # fixed treatment: conditional second factor is identically 1
         return TreatmentWeights(sw1, sw1 * dataset["delta1"])
 
-    design = np.column_stack([np.ones(n), dataset["x2"], z1])
-    e2 = fit_logistic(design[rows], z2).fitted_probabilities
+    design = np.column_stack([np.ones(len(z2)), dataset["x2"][rows], z1[rows]])
+    e2 = fit_logistic(design, z2).fitted_probabilities
     f2 = np.abs((1.0 - z2) - e2)  # P(Z2 = z2 | x2, z1)
     # cell 2 z1 + z2 of the joint table, counted over the fit's rows
     cells = (2.0 * z1[rows] + z2).astype(np.intp)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .statcore import RngStream, draw_normal, expit, redraw_zeros
+from .statcore import expit, redraw_zeros
 
 
 class Scenario(enum.IntEnum):
@@ -139,12 +139,12 @@ def _fill(ds, stream, name, value=lambda records, v: v, sd=None):
     """Write value(records, draws) into field `name` (each field, given a
     list) block by block, the draws normal(0, sd) or, without sd, uniform
     on (0, 1): the values of one whole-column draw, as consecutive blocks
-    continue the stream. A uniform's zeros are redrawn after the column,
-    as draw_uniform redraws them."""
+    continue the stream. A uniform's exact zeros are redrawn after the
+    column, in row order (redraw_zeros), so each u lies in (0, 1)."""
     zeros = []
     for start in range(0, len(ds), GEN_BLOCK_ROWS):
         b = ds[start:start + GEN_BLOCK_ROWS]
-        v = stream._gen.random(len(b)) if sd is None else draw_normal(stream, 0.0, sd, len(b))
+        v = stream.random(len(b)) if sd is None else stream.normal(0.0, sd, len(b))
         if sd is None and not v.all():
             zeros.append(start + np.flatnonzero(v == 0.0))
         b[name] = value(b, v)

@@ -1,13 +1,14 @@
 """Deterministic random number streams and logistic model fitting.
 
-Everything downstream (data generation, propensity models, censoring
-models) draws its randomness and its fitted probabilities from here, so
-this module pins down the two reproducibility contracts of the package:
-identical (seed, stream_id) pairs always yield identical draws, and
-fitting is a pure function of its inputs.
+Data generation draws its randomness from here, and the propensity
+models take their fitted probabilities from here, so this module pins
+down the two reproducibility contracts of the package: a stream is a
+numpy Generator seeded from a (seed, stream_id) pair, and identical
+pairs always yield identical draws; fitting is a pure function of its
+inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,47 +32,28 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-@dataclass
-class RngStream:
-    """One independently seeded PCG64 substream.
+class RngStream(np.random.Generator):
+    """One independently seeded PCG64 substream, itself a numpy Generator.
 
     seed selects the experiment, stream_id the substream within it
     (one per replicate). Distinct stream_ids give statistically
     independent sequences; the same pair replays the same sequence.
     """
 
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-
-def draw_uniform(stream, size=None):
-    """Uniform draws on the open interval (0, 1).
-
-    numpy's generator returns values in [0, 1); exact zeros (probability
-    2^-53 per draw) are redrawn (redraw_zeros) so that downstream -log(u)
-    transforms stay finite.
-    """
-    u = redraw_zeros(stream, np.atleast_1d(stream._gen.random(size)))
-    return float(u[0]) if size is None else u
+    def __init__(self, seed, stream_id=0):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        super().__init__(np.random.PCG64(ss))
 
 
 def redraw_zeros(stream, u):
-    """Redraw u's exact zeros in place, in index order, until none is left."""
+    """Redraw u's exact zeros in place, in index order, until none is left.
+
+    A Generator's uniforms lie in [0, 1); an exact zero (probability
+    2^-53 per draw) would make a downstream -log(u) infinite.
+    """
     while (zero := u == 0.0).any():
-        u[zero] = stream._gen.random(int(zero.sum()))
+        u[zero] = stream.random(int(zero.sum()))
     return u
-
-
-def draw_normal(stream, mean=0.0, sd=1.0, size=None):
-    """Gaussian draws with the given mean and standard deviation."""
-    if sd <= 0:
-        raise ValueError(f"sd must be positive, got {sd}")
-    return stream._gen.normal(mean, sd, size)
 
 
 @dataclass

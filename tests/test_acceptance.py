@@ -30,7 +30,7 @@ from recurweight.coxfit import (
 from recurweight.harness import run_simulation
 from recurweight.iptw import build_treatment_weights
 from recurweight.simgen import config_for, gen_dataset
-from recurweight.statcore import RngStream, draw_uniform, fit_logistic
+from recurweight.statcore import RngStream, fit_logistic
 
 SEED = 20250801
 REPS = 200
@@ -139,16 +139,16 @@ class TestEstimatorOracles:
         coarse = np.arange(-5.0, 5.0 + 1e-9, 1e-2)
         done = 0
         while done < 50:
-            n = int(3 + draw_uniform(rng) * 6)
-            t = draw_uniform(rng, n)
-            z = (draw_uniform(rng, n) < 0.5).astype(float)
+            n = int(3 + rng.random() * 6)
+            t = rng.random(n)
+            z = (rng.random(n) < 0.5).astype(float)
             if z.min() == z.max():
                 continue
             s = SurvivalSample(
                 time=t,
                 event=np.ones(n),
                 treatment=z,
-                weight=0.5 + 1.5 * draw_uniform(rng, n),
+                weight=0.5 + 1.5 * rng.random(n),
             )
             try:
                 fit = fit_weighted_cox(s)
@@ -178,7 +178,7 @@ class TestEstimatorOracles:
 
     def test_logistic_intercept_closed_form(self):
         rng = RngStream(88)
-        y = (draw_uniform(rng, 400) < 0.3).astype(float)
+        y = (rng.random(400) < 0.3).astype(float)
         fit = fit_logistic(np.ones((400, 1)), y)
         ybar = y.mean()
         npt.assert_allclose(

@@ -17,7 +17,7 @@ from recurweight.simgen import (
     gen_dataset,
     gen_potential_outcomes,
 )
-from recurweight.statcore import RngStream, draw_uniform
+from recurweight.statcore import RngStream
 
 
 def make_sample(time, event, z, w=None):
@@ -66,9 +66,9 @@ class TestPartialLoglik:
 
     def test_weight_doubling_shifts_only(self):
         rng = RngStream(404)
-        t = draw_uniform(rng, 12)
-        z = (draw_uniform(rng, 12) < 0.5).astype(float)
-        w = 0.5 + draw_uniform(rng, 12)
+        t = rng.random(12)
+        z = (rng.random(12) < 0.5).astype(float)
+        w = 0.5 + rng.random(12)
         a = make_sample(t, np.ones(12), z, w)
         b = make_sample(t, np.ones(12), z, 2 * w)
         grid = np.linspace(-2, 2, 9)
@@ -77,10 +77,10 @@ class TestPartialLoglik:
 
     def test_concavity(self):
         rng = RngStream(405)
-        t = draw_uniform(rng, 30)
-        z = (draw_uniform(rng, 30) < 0.5).astype(float)
-        w = 0.5 + draw_uniform(rng, 30)
-        d = (draw_uniform(rng, 30) < 0.8).astype(float)
+        t = rng.random(30)
+        z = (rng.random(30) < 0.5).astype(float)
+        w = 0.5 + rng.random(30)
+        d = (rng.random(30) < 0.8).astype(float)
         s = make_sample(t, d, z, w)
         grid = np.linspace(-4, 4, 81)
         ll = np.array([partial_loglik(b, s) for b in grid])
@@ -90,12 +90,12 @@ class TestPartialLoglik:
     def test_vector_beta_matches_scalar_calls(self):
         rng = RngStream(406)
         n = 25
-        t = draw_uniform(rng, n)
+        t = rng.random(n)
         t[5] = t[6]  # a tie group
-        z = (draw_uniform(rng, n) < 0.5).astype(float)
-        w = 0.5 + draw_uniform(rng, n)
+        z = (rng.random(n) < 0.5).astype(float)
+        w = 0.5 + rng.random(n)
         w[3] = 0.0
-        d = (draw_uniform(rng, n) < 0.8).astype(float)
+        d = (rng.random(n) < 0.8).astype(float)
         s = make_sample(t, d, z, w)
         grid = np.linspace(-3, 3, 13)
         got = partial_loglik(grid, s)
@@ -149,13 +149,13 @@ class TestFitWeightedCox:
         grid = np.arange(-5.0, 5.0 + 1e-9, 1e-4)
         done = 0
         while done < 50:
-            n = int(3 + draw_uniform(rng) * 6)
-            t = draw_uniform(rng, n)
-            z = (draw_uniform(rng, n) < 0.5).astype(float)
+            n = int(3 + rng.random() * 6)
+            t = rng.random(n)
+            z = (rng.random(n) < 0.5).astype(float)
             d = np.ones(n)
             if z.min() == z.max():
                 continue
-            s = make_sample(t, d, z, 0.5 + 1.5 * draw_uniform(rng, n))
+            s = make_sample(t, d, z, 0.5 + 1.5 * rng.random(n))
             try:
                 fit = fit_weighted_cox(s)
             except MonotoneLikelihoodError:
@@ -168,9 +168,9 @@ class TestFitWeightedCox:
     def test_score_vanishes_at_optimum(self):
         rng = RngStream(78)
         n = 500
-        t = -np.log(draw_uniform(rng, n))
-        z = (draw_uniform(rng, n) < 0.4).astype(float)
-        w = 0.5 + draw_uniform(rng, n)
+        t = -np.log(rng.random(n))
+        z = (rng.random(n) < 0.4).astype(float)
+        w = 0.5 + rng.random(n)
         s = make_sample(t, np.ones(n), z, w)
         fit = fit_weighted_cox(s)
         u = brute_score(fit.log_hr, s.time, s.event, s.treatment, s.weight)
@@ -179,13 +179,13 @@ class TestFitWeightedCox:
     def test_permutation_invariance(self):
         rng = RngStream(79)
         n = 60
-        t = draw_uniform(rng, n)
-        z = (draw_uniform(rng, n) < 0.5).astype(float)
-        d = (draw_uniform(rng, n) < 0.9).astype(float)
-        w = 0.5 + draw_uniform(rng, n)
+        t = rng.random(n)
+        z = (rng.random(n) < 0.5).astype(float)
+        d = (rng.random(n) < 0.9).astype(float)
+        w = 0.5 + rng.random(n)
         s = make_sample(t, d, z, w)
         fit = fit_weighted_cox(s)
-        perm = np.argsort(draw_uniform(rng, n))
+        perm = np.argsort(rng.random(n))
         s2 = make_sample(t[perm], d[perm], z[perm], w[perm])
         fit2 = fit_weighted_cox(s2)
         npt.assert_allclose(fit2.log_hr, fit.log_hr, atol=1e-12)
@@ -195,9 +195,9 @@ class TestFitWeightedCox:
     def test_weight_scale_invariance(self):
         rng = RngStream(80)
         n = 80
-        t = draw_uniform(rng, n)
-        z = (draw_uniform(rng, n) < 0.5).astype(float)
-        w = 0.5 + draw_uniform(rng, n)
+        t = rng.random(n)
+        z = (rng.random(n) < 0.5).astype(float)
+        w = 0.5 + rng.random(n)
         a = fit_weighted_cox(make_sample(t, np.ones(n), z, w))
         b = fit_weighted_cox(make_sample(t, np.ones(n), z, 7.3 * w))
         npt.assert_allclose(b.log_hr, a.log_hr, atol=1e-10)
@@ -213,7 +213,7 @@ class TestFitWeightedCox:
         n = 100_000
         beta = 0.6931
         z = np.concatenate([np.ones(n // 2), np.zeros(n // 2)])
-        u = draw_uniform(rng, n)
+        u = rng.random(n)
         t = -np.log(u) / np.exp(beta * z)
         fit = fit_weighted_cox(make_sample(t, np.ones(n), z))
         npt.assert_allclose(fit.log_hr, beta, atol=3 * fit.naive_se)
@@ -281,10 +281,10 @@ class TestFitWeightedCox:
         rng = RngStream(203)
         n = 2000
         s = make_sample(
-            draw_uniform(rng, n) + 0.01,
-            (draw_uniform(rng, n) < 0.8).astype(float),
-            (draw_uniform(rng, n) < 0.5).astype(float),
-            0.5 + draw_uniform(rng, n),
+            rng.random(n) + 0.01,
+            (rng.random(n) < 0.8).astype(float),
+            (rng.random(n) < 0.5).astype(float),
+            0.5 + rng.random(n),
         )
         clean = fit_weighted_cox(s)
         real = coxfit._loglik_at
@@ -326,9 +326,9 @@ class TestRobustVariance:
         rng = RngStream(85)
         n = 400
         s = make_sample(
-            draw_uniform(rng, n) + 0.01,
-            (draw_uniform(rng, n) < 0.85).astype(float),
-            (draw_uniform(rng, n) < 0.5).astype(float),
+            rng.random(n) + 0.01,
+            (rng.random(n) < 0.85).astype(float),
+            (rng.random(n) < 0.5).astype(float),
         )
         assert len(np.unique(s.time)) == n
         assert count_sorts(monkeypatch, s) == {"argsort": 1}
@@ -339,10 +339,10 @@ class TestRobustVariance:
         # of the integer tie keys runs
         rng = RngStream(86)
         n = 400
-        t = np.round(draw_uniform(rng, n), 2) + 0.01
-        z = (draw_uniform(rng, n) < 0.5).astype(float)
-        d = (draw_uniform(rng, n) < 0.85).astype(float)
-        w = 0.5 + draw_uniform(rng, n)
+        t = np.round(rng.random(n), 2) + 0.01
+        z = (rng.random(n) < 0.5).astype(float)
+        d = (rng.random(n) < 0.85).astype(float)
+        w = 0.5 + rng.random(n)
         w[::37] = 0.0
         assert count_sorts(monkeypatch, make_sample(t, d, z, w)) == {
             "argsort": 1, "sort": 1,
@@ -380,17 +380,17 @@ class TestRobustVariance:
     def test_singleton_null_matches_naive(self):
         rng = RngStream(82)
         n = 4000
-        t = -np.log(draw_uniform(rng, n))
-        z = (draw_uniform(rng, n) < 0.5).astype(float)
+        t = -np.log(rng.random(n))
+        z = (rng.random(n) < 0.5).astype(float)
         fit = fit_weighted_cox(make_sample(t, np.ones(n), z))
         assert 0.9 < fit.robust_se / fit.naive_se < 1.1
 
     def test_zero_weight_cluster_contributes_nothing(self):
         rng = RngStream(83)
         n = 40
-        t = draw_uniform(rng, n)
-        z = (draw_uniform(rng, n) < 0.5).astype(float)
-        w = 0.5 + draw_uniform(rng, n)
+        t = rng.random(n)
+        z = (rng.random(n) < 0.5).astype(float)
+        w = 0.5 + rng.random(n)
         base = fit_weighted_cox(make_sample(t, np.ones(n), z, w))
         padded = fit_weighted_cox(make_sample(
             np.concatenate([t, [0.5, 1.5]]),

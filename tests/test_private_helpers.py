@@ -5,7 +5,9 @@ definition, nothing a run does reaches it, and it is dead code that only
 tests, demos or perfbench keep alive; those callers do not count. The
 few names kept for the tests on purpose are listed with their reasons,
 and a private name is never among them: demos and tests may not lean on
-it, so an unused one is simply dead.
+it, so an unused one is simply dead. Nor does library code read or
+write an underscore attribute through a dot (`obj._name`): what is
+private to an object or module stays behind its own name.
 """
 
 import ast
@@ -16,8 +18,6 @@ LIBRARY = Path(__file__).resolve().parent.parent / "src" / "recurweight"
 # unused by the library, kept on purpose; a private name may not go here
 KEPT_FOR_TESTS = {
     "coxfit.partial_loglik": "the tests' reference for the Cox partial likelihood",
-    "statcore.draw_uniform": "about 70 test call sites draw through it; moving "
-                             "them is a change of its own",
 }
 
 
@@ -46,6 +46,18 @@ def _unreferenced_names(sources):
     return unused
 
 
+def _private_attribute_accesses(sources):
+    """`module: expression` of each `obj._name` that `sources` read or
+    write, dunders excepted."""
+    return [
+        f"{module}: {ast.unparse(n)}"
+        for module, source in sources.items()
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+        and not (n.attr.startswith("__") and n.attr.endswith("__"))
+    ]
+
+
 def _is_private(qualified_name):
     return qualified_name.rpartition(".")[2].startswith("_")
 
@@ -71,9 +83,11 @@ def test_check_sees_each_kind_of_reference():
             "from .a import _imported\n"
             "value = a._by_attribute\n"
             "a.public()\n"
+            "a.public()._state = type(a).__name__\n"
         ),
     }
     assert _unreferenced_names(sources) == ["a._only_itself", "a._Unused", "a.unused_public"]
+    assert _private_attribute_accesses(sources) == ["b: a._by_attribute", "b: a.public()._state"]
 
 
 def test_every_private_helper_is_used_by_the_library():
@@ -84,3 +98,7 @@ def test_every_private_helper_is_used_by_the_library():
 
 def test_every_top_level_name_is_used_by_the_library():
     assert sorted(_unreferenced_names(_library_sources())) == sorted(KEPT_FOR_TESTS)
+
+
+def test_no_library_code_reaches_a_private_attribute():
+    assert _private_attribute_accesses(_library_sources()) == []

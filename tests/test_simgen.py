@@ -26,7 +26,7 @@ from recurweight.simgen import (
     gen_potential_outcomes,
     write_dataset_csv,
 )
-from recurweight.statcore import RngStream, draw_uniform, expit
+from recurweight.statcore import RngStream, expit, redraw_zeros
 
 
 def test_gap_time_unit():
@@ -40,7 +40,7 @@ def test_gap_time_hazard_doubling():
 
 
 def test_gap_time_exponential_mean():
-    u = draw_uniform(RngStream(404), 1_000_000)
+    u = RngStream(404).random(1_000_000)
     times = gen_gap_time(u, 0.0, 1.0)
     assert 0.997 < times.mean() < 1.003
 
@@ -58,8 +58,9 @@ def test_config_validation():
     assert ScenarioConfig(n_subjects=np.int64(30)).n_subjects == 30
     with pytest.raises(ValueError):
         ScenarioConfig(baseline_rate=0.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(drift_sd=-1.0)
+    for sd in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="drift_sd"):
+            ScenarioConfig(drift_sd=sd)
     for tau in (-0.5, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau"):
             ScenarioConfig(tau=tau)
@@ -299,20 +300,20 @@ def test_dataset_bytes_do_not_depend_on_the_block_size(scenario, monkeypatch):
 
 
 class ZeroingGenerator:
-    """A stream's generator whose uniforms at the given stream positions
-    come back as exact zeros, position p being the p-th value `random`
-    returns across all calls; everything else passes through. Placing
-    zeros by position, not by call, keeps them where they are however a
-    column is split into calls."""
+    """A stream whose uniforms at the given stream positions come back as
+    exact zeros, position p being the p-th value `random` returns across
+    all calls; everything else passes through. Placing zeros by
+    position, not by call, keeps them where they are however a column is
+    split into calls."""
 
-    def __init__(self, gen, positions):
-        self._gen = gen
+    def __init__(self, stream, positions):
+        self.stream = stream
         self.positions = np.asarray(positions, dtype=np.intp)
         self.calls = 0
         self.drawn = 0
 
-    def random(self, size=None):
-        u = self._gen.random(size)
+    def random(self, size):
+        u = self.stream.random(size)
         at = self.positions - self.drawn
         u[at[(at >= 0) & (at < size)]] = 0.0
         self.drawn += size
@@ -320,36 +321,22 @@ class ZeroingGenerator:
         return u
 
     def __getattr__(self, name):
-        return getattr(self._gen, name)
+        return getattr(self.stream, name)
 
 
 def test_draw_uniform_replaces_zeros_from_the_stream_in_order():
-    stream = RngStream(41)
     # call 0 draws 10 values with zeros at 2 and 7; the redraw of those two
     # (call 1, positions 10 and 11) comes back with a zero in its second
     # place, so position 7 is drawn a third time (call 2)
-    stream._gen = ZeroingGenerator(stream._gen, [2, 7, 11])
-    u = draw_uniform(stream, 10)
-    assert stream._gen.calls == 3
+    stream = ZeroingGenerator(RngStream(41), [2, 7, 11])
+    u = redraw_zeros(stream, stream.random(10))
+    assert stream.calls == 3
     assert np.all(u > 0.0)
-    fresh = RngStream(41)._gen
+    fresh = RngStream(41)
     expected = fresh.random(10)
     expected[2] = fresh.random(2)[0]
     expected[7] = fresh.random(1)[0]
     assert np.array_equal(u, expected)
-
-
-def test_draw_uniform_redraws_a_zero_scalar():
-    class ScalarZero(ZeroingGenerator):
-        def random(self, size=None):
-            self.calls += 1
-            return 0.0 if self.calls == 1 else self._gen.random(size)
-
-    stream = RngStream(42)
-    stream._gen = ScalarZero(stream._gen, [])
-    u = draw_uniform(stream)
-    assert stream._gen.calls == 2
-    assert u == RngStream(42)._gen.random()
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
@@ -359,11 +346,10 @@ def test_dataset_draw_order(scenario):
     # next column is drawn
     n = 1_000
     cfg = non_default_config(scenario, n)
-    stream = RngStream(43)
-    stream._gen = ZeroingGenerator(stream._gen, [3, 5, n + 2 + 11])
+    stream = ZeroingGenerator(RngStream(43), [3, 5, n + 2 + 11])
     ds = gen_dataset(cfg, stream)
 
-    fresh = RngStream(43)._gen
+    fresh = RngStream(43)
     x1 = fresh.normal(0.0, 1.0, n)
     fresh.random(n)
     fresh.random(2)
@@ -374,7 +360,7 @@ def test_dataset_draw_order(scenario):
         v = fresh.normal(0.0, cfg.drift_sd, n)
     if scenario == 3:
         fresh.random(n)
-    assert stream._gen.bit_generator.state == fresh.bit_generator.state
+    assert stream.bit_generator.state == fresh.bit_generator.state
 
     # and each draw went to its own column
     assert np.array_equal(ds["x1"], x1)
@@ -394,11 +380,10 @@ def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
     monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
     n = 200
     cfg = non_default_config(scenario, n)
-    stream = RngStream(50)
-    stream._gen = ZeroingGenerator(stream._gen, [70, 100, n + 1, n + 3 + 130])
+    stream = ZeroingGenerator(RngStream(50), [70, 100, n + 1, n + 3 + 130])
     ds = gen_dataset(cfg, stream)
 
-    fresh = RngStream(50)._gen
+    fresh = RngStream(50)
     x1 = fresh.normal(0.0, 1.0, n)
     t1 = fresh.random(n)
     t1[70] = fresh.random(2)[0]
@@ -412,7 +397,7 @@ def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
     if scenario == 3:
         t2 = fresh.random(n)
         z2 = (t2 < expit(cfg.gamma0 + cfg.gamma1 * x2 + cfg.gamma2 * z1)).astype(np.uint8)
-    assert stream._gen.bit_generator.state == fresh.bit_generator.state
+    assert stream.bit_generator.state == fresh.bit_generator.state
 
     # z1 at a redrawn row is set from the redrawn uniform: 1 at row 70 and
     # 0 at row 100, where the zero itself would set 1 at both
@@ -428,7 +413,7 @@ def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
 
 
 def test_gap_time_matches_the_plain_form_and_leaves_u():
-    u = draw_uniform(RngStream(44), 100)
+    u = RngStream(44).random(100)
     lp = np.linspace(-1.0, 1.0, 100)
     expected = -np.log(u) / (2.5 * np.exp(lp))
     u_before, lp_before = u.copy(), lp.copy()

@@ -11,10 +11,9 @@ from recurweight.statcore import (
     RngStream,
     SeparationError,
     WeightModelError,
-    draw_normal,
-    draw_uniform,
     expit,
     fit_logistic,
+    redraw_zeros,
 )
 
 
@@ -63,48 +62,44 @@ class TestExpit:
 
 class TestStreams:
     def test_determinism(self):
-        a = draw_uniform(RngStream(99, 3), 100)
-        b = draw_uniform(RngStream(99, 3), 100)
+        a = RngStream(99, 3).random(100)
+        b = RngStream(99, 3).random(100)
         npt.assert_array_equal(a, b)
+        # the seeding rule: (seed, stream_id) is the entropy and spawn key
+        # of one PCG64 SeedSequence
+        stream = RngStream(2029, 7)
+        assert isinstance(stream, np.random.Generator)
+        plain = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(2029, spawn_key=(7,))))
+        npt.assert_array_equal(stream.random(100), plain.random(100))
+        npt.assert_array_equal(stream.normal(0.0, 2.0, 100), plain.normal(0.0, 2.0, 100))
+        assert stream.bit_generator.state == plain.bit_generator.state
 
     def test_distinct_streams_differ(self):
-        a = draw_uniform(RngStream(99, 0), 50)
-        b = draw_uniform(RngStream(99, 1), 50)
+        a = RngStream(99, 0).random(50)
+        b = RngStream(99, 1).random(50)
         assert not np.array_equal(a, b)
 
     def test_uniform_mean(self):
-        u = draw_uniform(RngStream(7), 1_000_000)
+        u = RngStream(7).random(1_000_000)
         assert 0.497 < u.mean() < 0.503
 
     def test_uniform_open_interval(self):
-        u = draw_uniform(RngStream(11), 200_000)
+        s = RngStream(11)
+        u = redraw_zeros(s, s.random(200_000))
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
     def test_uniform_ks(self):
-        u = draw_uniform(RngStream(13), 100_000)
+        u = RngStream(13).random(100_000)
         assert stats.kstest(u, "uniform").pvalue > 0.001
 
-    def test_uniform_scalar(self):
-        u = draw_uniform(RngStream(5))
-        assert isinstance(u, float) and 0.0 < u < 1.0
-
     def test_normal_unit_variance(self):
-        x = draw_normal(RngStream(17), 0.0, 1.0, 1_000_000)
+        x = RngStream(17).normal(0.0, 1.0, 1_000_000)
         assert 0.99 < x.var() < 1.01
 
     def test_normal_sd4_variance(self):
-        x = draw_normal(RngStream(19), 0.0, 4.0, 1_000_000)
+        x = RngStream(19).normal(0.0, 4.0, 1_000_000)
         assert 15.8 < x.var() < 16.2
-
-    def test_normal_rejects_bad_sd(self):
-        with pytest.raises(ValueError):
-            draw_normal(RngStream(1), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            draw_normal(RngStream(1), 0.0, -1.0)
-
-    def test_normal_degenerate_width(self):
-        x = draw_normal(RngStream(23), 5.0, 1e-12)
-        npt.assert_allclose(x, 5.0, atol=1e-9)
 
 
 class TestFitLogistic:
@@ -122,10 +117,10 @@ class TestFitLogistic:
     def test_parameter_recovery(self):
         s = RngStream(2024)
         n = 100_000
-        x = draw_normal(s, 0.0, 1.0, n)
+        x = s.normal(0.0, 1.0, n)
         truth = np.array([-1.1392, np.log(1.5)])
         p = expit(truth[0] + truth[1] * x)
-        y = (draw_uniform(s, n) < p).astype(float)
+        y = (s.random(n) < p).astype(float)
         X = np.column_stack([np.ones(n), x])
         fit = fit_logistic(X, y)
         prob = fit.fitted_probabilities
@@ -163,8 +158,8 @@ class TestFitLogistic:
         # near +-1, well inside the coefficient bound, but the outlier's
         # fitted probability rounds to exactly 1 (or, flipped, to 0)
         s = RngStream(47)
-        x = draw_normal(s, 0.0, 1.0, 200)
-        y = (draw_uniform(s, 200) < expit(x)).astype(float)
+        x = s.normal(0.0, 1.0, 200)
+        y = (s.random(200) < expit(x)).astype(float)
         x[0], y[0] = 1e3, 1.0
         X = np.column_stack([np.ones(200), x])
         for response in (y, 1.0 - y):
@@ -184,8 +179,8 @@ class TestFitLogistic:
         # mean fitted probability equals the response mean
         s = RngStream(31)
         n = 5000
-        x = draw_normal(s, 0.0, 1.0, n)
-        y = (draw_uniform(s, n) < expit(0.3 - 0.8 * x)).astype(float)
+        x = s.normal(0.0, 1.0, n)
+        y = (s.random(n) < expit(0.3 - 0.8 * x)).astype(float)
         X = np.column_stack([np.ones(n), x])
         fit = fit_logistic(X, y)
         npt.assert_allclose(
@@ -194,8 +189,8 @@ class TestFitLogistic:
 
     def test_fitted_probabilities_open_interval(self):
         s = RngStream(37)
-        x = draw_normal(s, 0.0, 4.0, 1000)
-        y = (draw_uniform(s, 1000) < expit(0.5 * x)).astype(float)
+        x = s.normal(0.0, 4.0, 1000)
+        y = (s.random(1000) < expit(0.5 * x)).astype(float)
         fit = fit_logistic(np.column_stack([np.ones(1000), x]), y)
         assert np.all(fit.fitted_probabilities > 0.0)
         assert np.all(fit.fitted_probabilities < 1.0)
@@ -203,8 +198,8 @@ class TestFitLogistic:
     def test_score_norm_at_convergence(self):
         s = RngStream(41)
         n = 2000
-        x = draw_normal(s, 0.0, 1.0, n)
-        y = (draw_uniform(s, n) < expit(-0.5 + x)).astype(float)
+        x = s.normal(0.0, 1.0, n)
+        y = (s.random(n) < expit(-0.5 + x)).astype(float)
         X = np.column_stack([np.ones(n), x])
         fit = fit_logistic(X, y)
         score = X.T @ (y - fit.fitted_probabilities)
@@ -212,8 +207,8 @@ class TestFitLogistic:
 
     def test_deterministic(self):
         s = RngStream(43)
-        x = draw_normal(s, 0.0, 1.0, 500)
-        y = (draw_uniform(s, 500) < 0.4).astype(float)
+        x = s.normal(0.0, 1.0, 500)
+        y = (s.random(500) < 0.4).astype(float)
         X = np.column_stack([np.ones(500), x])
         a = fit_logistic(X, y)
         b = fit_logistic(X, y)
