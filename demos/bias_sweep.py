@@ -17,7 +17,7 @@ A short coda shrinks the cohort to n = 2,500 to show that the
 second-event estimator is only unbiased once n is large enough for
 the weight tail to average out.
 
-Run time: a bit under a minute.
+Run time: about 2.5 s on 2 cores.
 """
 
 from recurweight.calibrate import lookup_calibration

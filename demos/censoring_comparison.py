@@ -40,7 +40,7 @@ observed. Rows whose weight is undefined (censored before the relevant
 event) get weight zero, which keeps vector shapes uniform and drops
 them from any weighted fit.
 
-Run time: about a minute.
+Run time: about 1 s on 2 cores.
 """
 
 from dataclasses import dataclass

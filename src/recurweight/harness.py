@@ -5,6 +5,14 @@ event. Replicates are seeded from disjoint substreams of one master
 seed, so any execution order (serial or process pool) produces the
 same numbers; aggregation walks results in replicate order.
 
+Each replicate yields one `REPLICATE_DTYPE` row of seven float pairs,
+indexed by event - 1: the estimate `log_hr`, its `naive_se` and
+`robust_se`, the treated shares of z1 and z2 (`prevalence`),
+`censored_frac`, and the weights' `sw_mean` and `sw_max`, where sw2's
+mean is over the rows its fit keeps. A value the replicate did not
+reach is nan: all that follows a failure, and `censored_frac` when the
+run is uncensored.
+
 Censored runs analyze risk sets rather than complete cases: every
 subject whose previous event was observed enters the fit, carrying
 the event indicator for the current event, with follow-up truncated
@@ -24,7 +32,8 @@ run (RECURWEIGHT_THREADS=1) leaves the caller's allocator alone.
 import ctypes
 import math
 import os
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from multiprocessing import Pool, cpu_count
 
 import numpy as np
@@ -62,16 +71,21 @@ _REPLICATE_FAILURES = (
     CoxConvergenceError,
 )
 
+REPLICATE_DTYPE = np.dtype([(name, np.float64, (2,)) for name in (
+    "log_hr", "naive_se", "robust_se", "prevalence", "censored_frac",
+    "sw_mean", "sw_max")])
+
 
 @dataclass
 class ReplicateResult:
-    """One replicate's estimates, each a tuple indexed by event - 1."""
+    """One replicate's `REPLICATE_DTYPE` row and, if it failed, why."""
 
-    beta_hat: tuple
-    naive_se: tuple
-    robust_se: tuple
-    diagnostics: dict = field(default_factory=dict)
-    failed: bool = False
+    row: np.void
+    failure: str | None = None
+
+    @property
+    def failed(self):
+        return self.failure is not None
 
 
 @dataclass
@@ -97,50 +111,34 @@ def _fit(time, event, treatment, weight):
 
 
 def run_replicate(config, master_seed, replicate_index=0):
-    """One full generate/weight/fit pass; failures are flagged, not raised.
-
-    A failed replicate keeps the diagnostics computed before the
-    failure, plus a `failure` entry naming it.
-    """
-    diagnostics = {}
+    """One full generate/weight/fit pass; failures are flagged, not raised."""
+    # a scalar view of a 0-d array: writable, and it pickles for the
+    # pool at about half the cost of the array
+    row = np.full((), np.nan, REPLICATE_DTYPE)[()]
     try:
-        return _run_replicate_inner(config, master_seed, replicate_index, diagnostics)
+        ds = gen_dataset(config, RngStream(master_seed, replicate_index))
+        row["prevalence"] = ds["z1"].mean(), ds["z2"].mean()
+        if config.tau is not None:
+            row["censored_frac"] = 1.0 - ds["delta1"].mean(), 1.0 - ds["delta2"].mean()
+        tw = build_treatment_weights(ds, config.scenario)
+        row["sw_mean"][0] = tw.sw1.mean()
+        row["sw_max"] = tw.sw1.max(), tw.sw2.max()
+        kept = np.count_nonzero(ds["delta1"])
+        if kept:
+            row["sw_mean"][1] = tw.sw2.sum() / kept
+
+        if config.tau is None:
+            time1, time2 = ds["w1"], ds["w2"]
+        else:
+            time1 = np.minimum(ds["w1"], config.tau)
+            time2 = np.minimum(ds["w1"] + ds["w2"], config.tau)
+        fits = (_fit(time1, ds["delta1"], ds["z1"], tw.sw1),
+                _fit(time2, ds["delta2"], ds["z2"], tw.sw2))
     except _REPLICATE_FAILURES as exc:
-        diagnostics["failure"] = f"{type(exc).__name__}: {exc}"
-        nans = (float("nan"), float("nan"))
-        return ReplicateResult(nans, nans, nans, diagnostics=diagnostics, failed=True)
-
-
-def _run_replicate_inner(config, master_seed, replicate_index, diagnostics):
-    """The replicate itself; fills the caller's diagnostics as it goes."""
-    ds = gen_dataset(config, RngStream(master_seed, replicate_index))
-    diagnostics["prevalence_z1"] = float(ds["z1"].mean())
-    diagnostics["prevalence_z2"] = float(ds["z2"].mean())
-    if config.tau is not None:
-        diagnostics["censored_frac_event1"] = float(1.0 - ds["delta1"].mean())
-        diagnostics["censored_frac_event2"] = float(1.0 - ds["delta2"].mean())
-    tw = build_treatment_weights(ds, config.scenario)
-    kept = np.count_nonzero(ds["delta1"])
-    diagnostics["sw1_mean"] = float(tw.sw1.mean())
-    diagnostics["sw1_max"] = float(tw.sw1.max())
-    # over the rows the second-event fit keeps: sw2 is 0 elsewhere
-    diagnostics["sw2_mean"] = float(tw.sw2.sum() / kept) if kept else float("nan")
-    diagnostics["sw2_max"] = float(tw.sw2.max())
-
-    if config.tau is None:
-        time1, time2 = ds["w1"], ds["w2"]
-    else:
-        time1 = np.minimum(ds["w1"], config.tau)
-        time2 = np.minimum(ds["w1"] + ds["w2"], config.tau)
-    fit1 = _fit(time1, ds["delta1"], ds["z1"], tw.sw1)
-    fit2 = _fit(time2, ds["delta2"], ds["z2"], tw.sw2)
-
-    return ReplicateResult(
-        beta_hat=(fit1.log_hr, fit2.log_hr),
-        naive_se=(fit1.naive_se, fit2.naive_se),
-        robust_se=(fit1.robust_se, fit2.robust_se),
-        diagnostics=diagnostics,
-    )
+        return ReplicateResult(row, f"{type(exc).__name__}: {exc}")
+    for name in ("log_hr", "naive_se", "robust_se"):
+        row[name] = [getattr(fit, name) for fit in fits]
+    return ReplicateResult(row)
 
 
 def summarize(results, truth, event):
@@ -153,18 +151,17 @@ def summarize(results, truth, event):
     results = list(results)
     if not results:
         raise ValueError("no replicate results to summarize")
-    ok = [r for r in results if not r.failed]
+    ok = [r.row for r in results if not r.failed]
     if not ok:
         raise ValueError("all replicates failed")
     if event not in (1, 2):
         raise ValueError("event must be 1 or 2")
     k = event - 1
     beta_m = (truth.beta_m1, truth.beta_m2)[k]
-    estimates = np.asarray([r.beta_hat[k] for r in ok])
-    naive = [r.naive_se[k] for r in ok]
-    robust = [r.robust_se[k] for r in ok]
+    ok = np.stack(ok)
+    estimates = ok["log_hr"][:, k]
 
-    r = len(estimates)
+    r = len(ok)
     mean_beta = float(estimates.mean())
     if beta_m == 0.0:
         bias_pct, absolute = mean_beta, True
@@ -182,9 +179,9 @@ def summarize(results, truth, event):
         mean_beta_hat=mean_beta,
         mean_hr=float(np.exp(mean_beta)),
         bias_pct=float(bias_pct),
-        ase=float(np.mean(naive)),
+        ase=float(ok["naive_se"][:, k].mean()),
         ese=ese,
-        rse=float(np.mean(robust)),
+        rse=float(ok["robust_se"][:, k].mean()),
         n_reps=len(results),
         n_failed=len(results) - r,
         bias_is_absolute=absolute,
@@ -249,12 +246,13 @@ def run_simulation(config, truth, n_reps, master_seed):
         with Pool(workers, initializer=_keep_heap) as pool:
             results = pool.starmap(run_replicate, args, chunksize=chunksize)
 
-    n_failed = sum(r.failed for r in results)
+    # failure counts per exception type, most frequent first, ties by name
+    failures = Counter(sorted(r.failure.partition(":")[0] for r in results if r.failed))
+    n_failed = failures.total()
     if n_failed > MAX_FAILURE_FRACTION * n_reps:
-        raise RuntimeError(
-            f"{n_failed} of {n_reps} replicates failed; "
-            "results would be unreliable"
-        )
+        causes = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
+        raise RuntimeError(f"{n_failed} of {n_reps} replicates failed ({causes}); "
+                           "results would be unreliable")
 
     if config.scenario is Scenario.IndependentGaps:
         truth = replace(truth, beta_m2=truth.beta_m1)

@@ -10,6 +10,7 @@ import ctypes
 import math
 import multiprocessing
 import os
+import pickle
 import platform
 import warnings
 
@@ -19,6 +20,7 @@ import pytest
 from recurweight import harness
 from recurweight.calibrate import CalibrationEntry, lookup_calibration
 from recurweight.harness import (
+    REPLICATE_DTYPE,
     ReplicateResult,
     _worker_count,
     run_replicate,
@@ -33,12 +35,11 @@ TRUTH_LN2 = lookup_calibration(2.0)
 
 
 def make_result(b1=0.4, b2=0.2, failed=False):
-    return ReplicateResult(
-        beta_hat=(b1, b2),
-        naive_se=(0.02, 0.03),
-        robust_se=(0.025, 0.035),
-        failed=failed,
-    )
+    row = np.full((), np.nan, REPLICATE_DTYPE)[()]
+    row["log_hr"] = b1, b2
+    row["naive_se"] = 0.02, 0.03
+    row["robust_se"] = 0.025, 0.035
+    return ReplicateResult(row, "WeightModelError: toy" if failed else None)
 
 
 def toy_truth(m1=0.4, m2=0.2):
@@ -108,12 +109,14 @@ def test_replicate_deterministic():
     cfg = config_for(3, 0.25, 1_500, beta_c=0.46)
     a = run_replicate(cfg, 42, 3)
     b = run_replicate(cfg, 42, 3)
-    assert a == b
+    # == is False on rows with nan fields, so compare the bytes
+    assert a.row.tobytes() == b.row.tobytes()
+    assert a.failure == b.failure
 
 
 def test_replicate_indices_give_distinct_estimates():
     cfg = config_for(1, 0.25, 1_500)
-    estimates = {run_replicate(cfg, 42, i).beta_hat for i in range(5)}
+    estimates = {tuple(run_replicate(cfg, 42, i).row["log_hr"]) for i in range(5)}
     assert len(estimates) == 5
 
 
@@ -121,15 +124,41 @@ def test_replicate_censored_diagnostics():
     cfg = config_for(3, 0.25, 4_000, beta_c=0.4599, tau=1.0)
     r = run_replicate(cfg, 7, 1)
     assert not r.failed
-    assert 0.2 < r.diagnostics["censored_frac_event1"] < 0.45
-    assert r.diagnostics["censored_frac_event2"] > r.diagnostics["censored_frac_event1"]
+    censored = r.row["censored_frac"]
+    assert 0.2 < censored[0] < 0.45
+    assert censored[1] > censored[0]
     # sw2 is 0 where the first event was censored; the mean skips those rows
     ds = gen_dataset(cfg, RngStream(7, 1))
     sw2 = build_treatment_weights(ds, 3).sw2[ds["delta1"] == 1]
-    assert r.diagnostics["sw2_mean"] == pytest.approx(sw2.mean(), rel=1e-12)
-    assert r.diagnostics["sw2_max"] == sw2.max()
-    for v in (*r.beta_hat, *r.robust_se):
+    assert r.row["sw_mean"][1] == pytest.approx(sw2.mean(), rel=1e-12)
+    assert r.row["sw_max"][1] == sw2.max()
+    for v in (*r.row["log_hr"], *r.row["robust_se"]):
         assert np.isfinite(v)
+
+
+@pytest.mark.parametrize("tau", [None, 1.0])
+def test_successful_replicate_fills_every_field(tau):
+    # a field that no path writes stays nan and fails here; only an
+    # uncensored run leaves its censored fractions unwritten
+    r = run_replicate(config_for(3, 0.25, 1_500, beta_c=0.4599, tau=tau), 7, 1)
+    assert r.failure is None
+    for name in REPLICATE_DTYPE.names:
+        if name == "censored_frac" and tau is None:
+            assert np.isnan(r.row[name]).all()
+        else:
+            assert np.isfinite(r.row[name]).all(), name
+
+
+def test_results_survive_a_pickle_round_trip():
+    # the pool moves each result between processes this way
+    ok = run_replicate(config_for(3, 0.25, 1_500, beta_c=0.4599, tau=1.0), 7, 1)
+    failed = run_replicate(config_for(1, 0.25, 2), 11, 0)
+    assert not ok.failed and failed.failed
+    for r in (ok, failed):
+        back = pickle.loads(pickle.dumps(r))
+        assert back.row.dtype == REPLICATE_DTYPE
+        assert back.row.tobytes() == r.row.tobytes()
+        assert back.failure == r.failure
 
 
 def test_replicate_failure_is_flagged_not_raised():
@@ -137,8 +166,8 @@ def test_replicate_failure_is_flagged_not_raised():
     cfg = config_for(1, 0.25, 2)
     r = run_replicate(cfg, 11, 0)
     assert r.failed
-    assert "failure" in r.diagnostics
-    assert math.isnan(r.beta_hat[0])
+    assert r.failure
+    assert math.isnan(r.row["log_hr"][0])
 
 
 def test_replicate_with_too_few_observed_first_events_is_flagged():
@@ -146,11 +175,11 @@ def test_replicate_with_too_few_observed_first_events_is_flagged():
     # than the second propensity model's three coefficients
     r = run_replicate(config_for(3, 0.25, 30, beta_c=0.783, tau=0.05), 1234, 0)
     assert r.failed
-    assert r.diagnostics["failure"].startswith("WeightModelError: ")
+    assert r.failure.startswith("WeightModelError: ")
     # what explains the failure was computed before it and is kept
-    assert r.diagnostics["censored_frac_event1"] == pytest.approx(28 / 30)
-    assert r.diagnostics["prevalence_z1"] == pytest.approx(0.3)
-    assert "sw1_mean" not in r.diagnostics
+    assert r.row["censored_frac"][0] == pytest.approx(28 / 30)
+    assert r.row["prevalence"][0] == pytest.approx(0.3)
+    assert math.isnan(r.row["sw_mean"][0])
 
 
 def test_replicate_with_a_singular_weight_model_is_flagged():
@@ -158,7 +187,7 @@ def test_replicate_with_a_singular_weight_model_is_flagged():
     # so the second propensity model's z1 column is all zeros
     r = run_replicate(config_for(3, 0.25, 12, beta_c=0.783, tau=0.3), 1234, 0)
     assert r.failed
-    assert r.diagnostics["failure"] == "WeightModelError: singular information matrix"
+    assert r.failure == "WeightModelError: singular information matrix"
 
 
 @pytest.mark.parametrize(
@@ -175,10 +204,10 @@ def test_replicate_with_a_saturated_propensity_is_flagged(
     cfg = config_for(scenario, prevalence, n, beta_c=0.7830)
     r = run_replicate(cfg, 1234, index)
     assert r.failed
-    assert r.diagnostics["failure"] == (
+    assert r.failure == (
         "SeparationError: a fitted probability saturated at 0 or 1"
     )
-    assert "sw1_mean" not in r.diagnostics
+    assert math.isnan(r.row["sw_mean"][0])
 
 
 def test_replicate_whose_newton_trial_step_overflows_warns_nothing():
@@ -186,7 +215,7 @@ def test_replicate_whose_newton_trial_step_overflows_warns_nothing():
     # counts the inf/nan likelihood as a drop and the fit converges
     r = run_replicate(config_for(3, 0.25, 100, beta_c=0.7830), 1234, 2162)
     assert not r.failed
-    assert r.beta_hat == (0.5267740849832034, -5.408509293480798)
+    assert r.row["log_hr"].tolist() == [0.5267740849832034, -5.408509293480798]
 
 
 def test_replicate_without_observed_first_event_warns_nothing():
@@ -197,27 +226,27 @@ def test_replicate_without_observed_first_event_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = run_replicate(cfg, 1, 0)
-    d = r.diagnostics
+    row = r.row
     assert r.failed
-    assert d["failure"].startswith("MonotoneLikelihoodError: ")
-    assert d["prevalence_z1"] == d["prevalence_z2"] == pytest.approx(0.15)
-    assert d["censored_frac_event1"] == d["censored_frac_event2"] == 1.0
+    assert r.failure.startswith("MonotoneLikelihoodError: ")
+    assert row["prevalence"][0] == row["prevalence"][1] == pytest.approx(0.15)
+    assert row["censored_frac"].tolist() == [1.0, 1.0]
     tw = build_treatment_weights(gen_dataset(cfg, RngStream(1, 0)), 1)
-    assert d["sw1_mean"] == tw.sw1.mean()
-    assert d["sw1_max"] == tw.sw1.max()
-    assert math.isnan(d["sw2_mean"])
-    assert d["sw2_max"] == 0.0
+    assert row["sw_mean"][0] == tw.sw1.mean()
+    assert row["sw_max"][0] == tw.sw1.max()
+    assert math.isnan(row["sw_mean"][1])
+    assert row["sw_max"][1] == 0.0
+    assert np.isnan(row["log_hr"]).all()
 
 
 def test_null_effect_coverage():
     cfg = config_for(1, 0.25, 2_000, beta_c=0.0)
     results = [run_replicate(cfg, 313, i) for i in range(30)]
     assert not any(r.failed for r in results)
-    covered = [abs(r.beta_hat[0]) < 4 * r.robust_se[0] for r in results]
+    covered = [abs(r.row["log_hr"][0]) < 4 * r.row["robust_se"][0] for r in results]
     assert all(covered)
     for r in results:
-        assert 0.9 < r.diagnostics["sw1_mean"] < 1.1
-        assert 0.9 < r.diagnostics["sw2_mean"] < 1.1
+        assert np.all((0.9 < r.row["sw_mean"]) & (r.row["sw_mean"] < 1.1))
 
 
 def test_simulation_matches_published_spread():
@@ -262,8 +291,25 @@ def test_simulation_single_rep_flags_ese():
 def test_simulation_aborts_on_failures():
     truth = lookup_calibration(1.0)
     cfg = config_for(1, 0.25, 2)
-    with pytest.raises(RuntimeError, match="replicates failed"):
+    with pytest.raises(
+        RuntimeError,
+        match=r"^5 of 5 replicates failed \(SeparationError: 5\); results",
+    ):
         run_simulation(cfg, truth, 5, 17)
+
+
+def test_simulation_abort_counts_failures_by_type(monkeypatch):
+    failures = ["WeightModelError: a", "SeparationError: b", None,
+                "MonotoneLikelihoodError: c", "SeparationError: d",
+                "WeightModelError: e"]
+    monkeypatch.setenv("RECURWEIGHT_THREADS", "1")
+    monkeypatch.setattr(harness, "run_replicate", lambda config, seed, i: (
+        ReplicateResult(np.full((), np.nan, REPLICATE_DTYPE), failures[i])))
+    with pytest.raises(RuntimeError) as caught:
+        run_simulation(config_for(1, 0.25, 2), lookup_calibration(1.0), 6, 17)
+    assert str(caught.value) == (
+        "5 of 6 replicates failed (SeparationError: 2, WeightModelError: 2, "
+        "MonotoneLikelihoodError: 1); results would be unreliable")
 
 
 def test_simulation_thread_count_invariance(monkeypatch):

@@ -132,8 +132,10 @@ def reference_replicate(cfg, seed, index):
 
 def replicate_outcome(result):
     if result.failed:
-        return None, result.diagnostics["failure"]
-    return tuple(zip(result.beta_hat, result.naive_se, result.robust_se)), None
+        return None, result.failure
+    row = result.row
+    return tuple(zip(*(row[name].tolist()
+                       for name in ("log_hr", "naive_se", "robust_se")))), None
 
 
 def assert_fits_equal(got, want):
