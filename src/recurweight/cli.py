@@ -33,9 +33,12 @@ from .simgen import (
     GAMMA0_BY_PREVALENCE,
     ScenarioConfig,
     config_for,
-    gen_dataset,
+    gen_blocks,
     write_dataset_csv,
 )
+# perfbench/spans.py wraps this name as a span target; generate streams
+# gen_blocks and never calls it. It goes together with that target.
+from .simgen import gen_dataset  # noqa: F401
 from .statcore import RngStream
 
 SCENARIO_BY_NAME = {"independent": 1, "tv-covariates": 2, "tv-treatment": 3}
@@ -411,10 +414,9 @@ def _cmd_generate(manifest):
     entry = _resolve_entry(manifest.target_hrs[0], manifest)
     manifest.beta_c_values = (entry.beta_c,)
     config = _config_from(manifest, entry.beta_c)
-    dataset = gen_dataset(config, RngStream(manifest.master_seed))
     with _output(manifest.output_path) as fh:
         fh.write("\n".join(_manifest_lines(manifest, "#")) + "\n")
-        write_dataset_csv(dataset, fh)
+        write_dataset_csv(gen_blocks(config, RngStream(manifest.master_seed)), fh)
     return 0
 
 

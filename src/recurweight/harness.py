@@ -11,7 +11,8 @@ indexed by event - 1: the estimate `log_hr`, its `naive_se` and
 `censored_frac`, and the weights' `sw_mean` and `sw_max`, where sw2's
 mean is over the rows its fit keeps. A value the replicate did not
 reach is nan: all that follows a failure, and `censored_frac` when the
-run is uncensored.
+run is uncensored. A pool worker returns each chunk of replicates as
+one such array and its failure texts.
 
 Censored runs analyze risk sets rather than complete cases: every
 subject whose previous event was observed enters the fit, carrying
@@ -141,6 +142,13 @@ def run_replicate(config, master_seed, replicate_index=0):
     return ReplicateResult(row)
 
 
+def _run_chunk(config, master_seed, indices):
+    """Pool task: the replicates `indices` as one REPLICATE_DTYPE array and
+    their failure texts, so a chunk pickles the dtype once."""
+    results = [run_replicate(config, master_seed, i) for i in indices]
+    return np.stack([r.row for r in results]), [r.failure for r in results]
+
+
 def summarize(results, truth, event):
     """Aggregate one event's estimates against the calibrated truth.
 
@@ -237,14 +245,18 @@ def run_simulation(config, truth, n_reps, master_seed):
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     workers = _worker_count(n_reps)
-    args = [(config, master_seed, i) for i in range(n_reps)]
     if workers == 1:
-        results = [run_replicate(*a) for a in args]
+        results = [run_replicate(config, master_seed, i) for i in range(n_reps)]
     else:
-        # chunks of 8, smaller where that would leave a worker idle
-        chunksize = min(8, math.ceil(n_reps / workers))
+        # chunks of 8, smaller where that would leave a worker idle; each
+        # chunk is one task, handed out in order
+        size = min(8, math.ceil(n_reps / workers))
+        chunks = [(config, master_seed, range(n_reps)[start:start + size])
+                  for start in range(0, n_reps, size)]
         with Pool(workers, initializer=_keep_heap) as pool:
-            results = pool.starmap(run_replicate, args, chunksize=chunksize)
+            parts = pool.starmap(_run_chunk, chunks, chunksize=1)
+        results = [ReplicateResult(row, failure)
+                   for rows, failures in parts for row, failure in zip(rows, failures)]
 
     # failure counts per exception type, most frequent first, ties by name
     failures = Counter(sorted(r.failure.partition(":")[0] for r in results if r.failed))

@@ -130,75 +130,142 @@ def gen_gap_time(u, linear_predictor, rate=1.0):
     return -np.log(u) / (np.exp(linear_predictor) * rate)
 
 
-# rows per block of the draw stage and of gen_dataset's derived columns: a
-# block and its temporaries stay in cache, and no column-length one is made
+# rows per block of the draw stage, of the derived columns and of the cohort
+# blocks gen_blocks yields: a block and its temporaries stay in cache, and no
+# column-length one is made
 GEN_BLOCK_ROWS = 16_384
 
 
-def _fill(ds, stream, name, value=lambda records, v: v, sd=None):
-    """Write value(records, draws) into field `name` (each field, given a
-    list) block by block, the draws normal(0, sd) or, without sd, uniform
-    on (0, 1): the values of one whole-column draw, as consecutive blocks
-    continue the stream. A uniform's exact zeros are redrawn after the
-    column, in row order (redraw_zeros), so each u lies in (0, 1)."""
-    zeros = []
-    for start in range(0, len(ds), GEN_BLOCK_ROWS):
-        b = ds[start:start + GEN_BLOCK_ROWS]
-        v = stream.random(len(b)) if sd is None else stream.normal(0.0, sd, len(b))
-        if sd is None and not v.all():
-            zeros.append(start + np.flatnonzero(v == 0.0))
-        b[name] = value(b, v)
-    if zeros:
-        at = np.concatenate(zeros)
-        ds[name][at] = value(ds[at], redraw_zeros(stream, np.zeros(at.size)))
+def _drawn(records, draws):
+    return draws
 
 
-def _draw(config, stream):
-    """The draw stage both generators share: a cohort whose w fields hold
-    u1 and u2 and whose delta fields are not yet set. Each column is
-    drawn into it block by block (_fill) in the module's draw order: x1,
-    also into x2; the treatment uniforms, consumed at once into z1 and
-    z2; the drift, added into x2. Without a second assignment z2 = z1.
-    Nothing here depends on beta_c."""
+def _block_draws(stream, size, sd):
+    return stream.random(size) if sd is None else stream.normal(0.0, sd, size)
+
+
+def _columns(config):
+    """The draw stage's columns in the module's draw order, each as (field
+    or fields, value(records, draws), sd): the draws are normal(0, sd) or,
+    without sd, uniform on (0, 1), and value(records, draws) is what the
+    field takes. x1 also goes into x2; the treatment uniforms are consumed
+    at once into z1 and z2; the drift is added into x2. Nothing here
+    depends on beta_c."""
     c = config
-    ds = np.empty(c.n_subjects, dtype=SUBJECT_DTYPE)
-    _fill(ds, stream, ["x1", "x2"], sd=1.0)
-    _fill(ds, stream, "z1", lambda b, u: u < expit(c.alpha0 + c.alpha1 * b["x1"]))
-    _fill(ds, stream, "w1")
-    _fill(ds, stream, "w2")
+    columns = [(["x1", "x2"], _drawn, 1.0),
+               ("z1", lambda b, u: u < expit(c.alpha0 + c.alpha1 * b["x1"]), None),
+               ("w1", _drawn, None),
+               ("w2", _drawn, None)]
     if c.scenario is not Scenario.IndependentGaps:
-        _fill(ds, stream, "x2", lambda b, v: b["x2"] + v, sd=c.drift_sd)
+        columns.append(("x2", lambda b, v: b["x2"] + v, c.drift_sd))
     if c.scenario is Scenario.TVTreatmentCovariates:
-        _fill(ds, stream, "z2",
-              lambda b, u: u < expit(c.gamma0 + c.gamma1 * b["x2"] + c.gamma2 * b["z1"]))
+        columns.append(("z2", lambda b, u: u < expit(c.gamma0 + c.gamma1 * b["x2"]
+                                                     + c.gamma2 * b["z1"]), None))
+    return columns
+
+
+def _draw(config, stream, ds):
+    """The draw stage both generators share. It draws every column of the
+    cohort's n rows, block by block, and fills ds, the first len(ds) rows:
+    the w fields hold u1 and u2, and z2 (unless assigned), the gap times
+    and the delta fields are not yet set. Consecutive blocks continue the
+    stream, so the values are those of one whole-column draw. A uniform's
+    exact zeros are redrawn after the column, in row order (redraw_zeros),
+    so each u lies in (0, 1).
+
+    For each column, in draw order, returns what rebuilds its rows past
+    ds: the stream state at the start of each later block, and the rows
+    and values of that column's zero redraws there (None without a
+    zero). The states are empty when ds holds every row.
+    """
+    n, held = config.n_subjects, len(ds)
+    plan = []
+    for name, value, sd in _columns(config):
+        states, zeros = [], []
+        for start in range(0, n, GEN_BLOCK_ROWS):
+            if start >= held:
+                states.append(stream.bit_generator.state)
+            v = _block_draws(stream, min(GEN_BLOCK_ROWS, n - start), sd)
+            if sd is None and not v.all():
+                zeros.append(start + np.flatnonzero(v == 0.0))
+            if start < held:
+                b = ds[start:start + GEN_BLOCK_ROWS]
+                b[name] = value(b, v)
+        redraws = None
+        if zeros:
+            at = np.concatenate(zeros)
+            u = redraw_zeros(stream, np.zeros(at.size))
+            mine = at < held
+            ds[name][at[mine]] = value(ds[at[mine]], u[mine])
+            redraws = at[~mine], u[~mine]
+        plan.append((states, redraws))
+    return plan
+
+
+def _derive(config, b):
+    """Complete a drawn block in place: z2 = z1 without a second assignment,
+    the gap times over u1 and u2, then the censoring indicators. Each
+    element takes the whole-column formulas' operations in their order,
+    e.g. w1 = -log(u1) / (exp(beta1 x1 + beta_c z1) rate), so the bytes do
+    not depend on the block size."""
+    c = config
+    if c.scenario is not Scenario.TVTreatmentCovariates:
+        b["z2"] = b["z1"]
+    for w, x, z in (("w1", "x1", "z1"), ("w2", "x2", "z2")):
+        b[w] = gen_gap_time(b[w], c.beta1 * b[x] + c.beta_c * b[z], c.baseline_rate)
+    if c.tau is None:
+        b["delta1"] = b["delta2"] = 1
     else:
-        ds["z2"] = ds["z1"]
-    return ds
+        b["delta1"] = b["w1"] <= c.tau
+        b["delta2"] = (b["w1"] + b["w2"]) <= c.tau
+    return b
 
 
 def gen_dataset(config, stream):
     """Generate one cohort as a structured array of subject records.
 
-    The draw stage (_draw) fills the cohort; then, block by block, the
-    gap times overwrite u1 and u2 and the censoring indicators are set.
-    So generation peaks at the cohort, 36 bytes per subject, plus one
-    block's temporaries, about 33 bytes per block row (0.53 MB). Each
-    element takes the whole-column formulas' operations in their order,
-    e.g. w1 = -log(u1) / (exp(beta1 x1 + beta_c z1) rate), so the bytes
-    do not depend on the block size.
+    The draw stage (_draw) fills the whole cohort, so nothing is drawn
+    twice; then each block is completed in place (_derive). Generation
+    peaks at the cohort, 36 bytes per subject, plus one block's
+    temporaries, about 33 bytes per block row (0.53 MB).
+    """
+    ds = np.empty(config.n_subjects, dtype=SUBJECT_DTYPE)
+    _draw(config, stream, ds)
+    for start in range(0, len(ds), GEN_BLOCK_ROWS):
+        _derive(config, ds[start:start + GEN_BLOCK_ROWS])
+    return ds
+
+
+def gen_blocks(config, stream):
+    """Yield the cohort gen_dataset(config, stream) returns as consecutive
+    blocks of GEN_BLOCK_ROWS rows (the last may be shorter), holding one
+    block, not the cohort.
+
+    The first next() runs the draw stage over every row with room for the
+    first block, which leaves the stream where gen_dataset leaves it and
+    records, per later block and column, the stream state at the block's
+    start and that column's zero redraws. Each later block is then drawn
+    again from its recorded states by a private PCG64 generator, and the
+    recorded redraws go to its rows, so every byte matches gen_dataset's.
+    Every block is the same reused buffer: a caller that keeps a block past
+    the next one must copy it.
     """
     c = config
-    ds = _draw(c, stream)
-    for start in range(0, c.n_subjects, GEN_BLOCK_ROWS):
-        b = ds[start:start + GEN_BLOCK_ROWS]
-        for w, x, z in (("w1", "x1", "z1"), ("w2", "x2", "z2")):
-            b[w] = gen_gap_time(b[w], c.beta1 * b[x] + c.beta_c * b[z], c.baseline_rate)
-        if c.tau is None:
-            b["delta1"] = b["delta2"] = 1
-        else:
-            b["delta1"] = b["w1"] <= c.tau
-            b["delta2"] = (b["w1"] + b["w2"]) <= c.tau
-    return ds
+    block = np.empty(min(c.n_subjects, GEN_BLOCK_ROWS), dtype=SUBJECT_DTYPE)
+    plan = _draw(c, stream, block)
+    yield _derive(c, block)
+    replay = np.random.Generator(np.random.PCG64())
+    for k, start in enumerate(range(len(block), c.n_subjects, GEN_BLOCK_ROWS)):
+        b = block[:min(GEN_BLOCK_ROWS, c.n_subjects - start)]
+        for (name, value, sd), (states, redraws) in zip(_columns(c), plan):
+            replay.bit_generator.state = states[k]
+            b[name] = value(b, _block_draws(replay, len(b), sd))
+            if redraws is not None:
+                rows, u = redraws
+                lo, hi = np.searchsorted(rows, (start, start + len(b)))
+                at = rows[lo:hi] - start
+                b[name][at] = value(b[at], u[lo:hi])
+        yield _derive(c, b)
 
 
 def gen_potential_outcomes(config, stream):
@@ -215,7 +282,8 @@ def gen_potential_outcomes(config, stream):
     where gen_dataset leaves it.
     """
     c = config
-    ds = _draw(c, stream)
+    ds = np.empty(c.n_subjects, dtype=SUBJECT_DTYPE)
+    _draw(c, stream, ds)
     out = np.empty(c.n_subjects, dtype=ORACLE_DTYPE)
     out["x1"], out["x2"] = ds["x1"], ds["x2"]
     for w, x in (("w1", "x1"), ("w2", "x2")):
@@ -418,21 +486,26 @@ def _fill_float(buf, mask, v):
     mask[at] = np.arange(_FLOAT_SLOTS) < np.array([len(t) for t in texts])[:, None]
 
 
-def write_dataset_csv(ds, fh):
+def write_dataset_csv(cohort, fh):
     """Write a cohort in the interchange layout to an open text handle.
 
-    Floats are written as repr writes them (shortest round-trip digits,
-    positional in [1e-4, 1e16)), so the file parses back to the same
-    bits; indicators and treatments are written as 0/1. Each chunk of
-    CSV_CHUNK_ROWS rows copies its four float columns into one buffer, one
-    numpy kernel call computes their digits and one fill writes them
-    through a strided view of the chunk's slots x rows byte matrix and
-    selection mask; a value the kernel cannot certify (zero, outside
-    [1e-4, 1e4), a near tie) is written by repr. The separators are
-    written once, and each chunk is compacted in row order into one write.
+    The cohort is a structured array of subject records, taken as one
+    block, or an iterable of such blocks (as gen_blocks yields), written
+    one after another. Floats are written as repr writes them (shortest
+    round-trip digits, positional in [1e-4, 1e16)), so the file parses
+    back to the same bits; indicators and treatments are written as 0/1.
+    Each chunk of CSV_CHUNK_ROWS rows of a block copies its four float
+    columns into one buffer, one numpy kernel call computes their digits
+    and one fill writes them through a strided view of the chunk's slots
+    x rows byte matrix and selection mask; a value the kernel cannot
+    certify (zero, outside [1e-4, 1e4), a near tie) is written by repr.
+    The separators are written once, and each chunk is compacted in row
+    order into one write.
     """
+    if isinstance(cohort, np.ndarray):
+        cohort = (cohort,)
     fh.write(DATASET_CSV_HEADER + "\n")
-    rows = min(len(ds), CSV_CHUNK_ROWS)
+    rows = CSV_CHUNK_ROWS
     buf = np.empty((_ROW_SLOTS, rows), dtype=np.uint8)
     mask = np.ones((_ROW_SLOTS, rows), dtype=bool)
     for name in _NAMES:
@@ -444,14 +517,15 @@ def write_dataset_csv(ds, fh):
     fields, field_mask = (np.lib.stride_tricks.as_strided(a, shape, strides)
                           for a in (buf, mask))
     values = np.empty(4 * rows)
-    for start in range(0, len(ds), CSV_CHUNK_ROWS):
-        part = ds[start:start + CSV_CHUNK_ROWS]
-        n = len(part)
-        v = values[:4 * n].reshape(len(_FLOAT_PAIRS), 2, n)
-        for pair, names in zip(v, _FLOAT_PAIRS):
-            for field, name in zip(pair, names):
-                field[:] = part[name]
-        _fill_float(fields[..., :n], field_mask[..., :n], v)
-        for name in _FLAGS:
-            np.add(part[name], ord("0"), out=buf[_START[name], :n], casting="unsafe")
-        fh.write(str(buf[:, :n].T[mask[:, :n].T], "ascii"))
+    for block in cohort:
+        for start in range(0, len(block), rows):
+            part = block[start:start + rows]
+            n = len(part)
+            v = values[:4 * n].reshape(len(_FLOAT_PAIRS), 2, n)
+            for pair, names in zip(v, _FLOAT_PAIRS):
+                for field, name in zip(pair, names):
+                    field[:] = part[name]
+            _fill_float(fields[..., :n], field_mask[..., :n], v)
+            for name in _FLAGS:
+                np.add(part[name], ord("0"), out=buf[_START[name], :n], casting="unsafe")
+            fh.write(str(buf[:, :n].T[mask[:, :n].T], "ascii"))

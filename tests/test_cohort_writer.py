@@ -84,6 +84,16 @@ def test_generate_dump_matches_the_recorded_digest(capsys, scenario, tau):
         assert any("e-05" in row[5] for row in rows)
 
 
+def test_generate_across_block_boundaries_matches_the_recorded_digest(capsys):
+    # 40,000 rows are three generator blocks, the last one partial; the
+    # digest was recorded from the whole-cohort dump
+    assert run_cli(["generate", "--scenario", "tv-treatment", "--n", "40000",
+                    "--target-hr", "2", "--seed", "2027", "--tau", "0.5"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d1868e94cfc7388dd7fed8a7299c17b02d48ba89ac5d94dc6a19047daa96c907")
+
+
 def cohort_from(floats, flags):
     """A cohort whose four float columns take `floats` in row order."""
     floats = np.asarray(floats, dtype=float).reshape(-1, len(FLOAT_COLUMNS))
@@ -229,6 +239,27 @@ def test_writer_memory_is_bounded_by_the_chunk():
     small, large = writer_peak_bytes(20_000), writer_peak_bytes(200_000)
     assert large < 1.1 * small
     assert large < 1.4e6
+
+
+def generate_peak_bytes(n, path):
+    argv = ["generate", "--scenario", "tv-treatment", "--n", str(n), "--target-hr", "2",
+            "--tau", "0.5", "--out", str(path)]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_memory_does_not_grow_with_the_cohort(tmp_path):
+    # generate holds one generator block and one writer chunk, not the
+    # cohort, whose 200,000 rows alone take 7.2 MB
+    generate_peak_bytes(1_000, tmp_path / "warm.csv")
+    small = generate_peak_bytes(20_000, tmp_path / "small.csv")
+    large = generate_peak_bytes(200_000, tmp_path / "large.csv")
+    assert large < 1.1 * small
+    assert large < 3e6
 
 
 def test_chunked_dump_equals_the_reference_on_a_cohort(monkeypatch):

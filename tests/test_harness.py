@@ -336,7 +336,9 @@ def _recording_pool(calls):
             return False
 
         def starmap(self, func, args, chunksize):
-            calls[-1]["chunksize"] = chunksize
+            # each task is one chunk of replicates, its indices last
+            calls[-1]["starmap_chunksize"] = chunksize
+            calls[-1]["chunks"] = [list(a[-1]) for a in args]
             return [func(*a) for a in args]
 
     return RecordingPool
@@ -356,9 +358,12 @@ def test_pool_shape(monkeypatch, threads, n_reps, chunksize):
     if chunksize is None:
         assert calls == []
     else:
+        indices = list(range(n_reps))
         assert calls == [{"workers": int(threads),
                           "initializer": harness._keep_heap,
-                          "chunksize": chunksize}]
+                          "starmap_chunksize": 1,
+                          "chunks": [indices[i:i + chunksize]
+                                     for i in range(0, n_reps, chunksize)]}]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

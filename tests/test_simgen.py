@@ -21,6 +21,7 @@ from recurweight.simgen import (
     Scenario,
     ScenarioConfig,
     config_for,
+    gen_blocks,
     gen_dataset,
     gen_gap_time,
     gen_potential_outcomes,
@@ -410,6 +411,54 @@ def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
                 "delta1": w1 <= cfg.tau, "delta2": w1 + w2 <= cfg.tau}
     for name in SUBJECT_DTYPE.names:
         assert np.array_equal(ds[name], expected[name]), name
+
+
+def streamed_bytes(cfg, stream):
+    """The bytes of gen_blocks' blocks, in order, and their lengths."""
+    chunks, lengths = [], []
+    for block in gen_blocks(cfg, stream):
+        chunks.append(block.tobytes())
+        lengths.append(len(block))
+    return b"".join(chunks), lengths
+
+
+@pytest.mark.parametrize("tau", [None, 0.5])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_streamed_blocks_equal_the_cohort(scenario, tau):
+    # 40,000 rows are three blocks, the last one partial: the second and
+    # third are drawn again from their recorded stream states
+    cfg = config_for(scenario, 0.5, 40_000, beta_c=0.7, tau=tau)
+    whole, stream = RngStream(52), RngStream(52)
+    ds = gen_dataset(cfg, whole)
+    data, lengths = streamed_bytes(cfg, stream)
+    assert lengths == [simgen.GEN_BLOCK_ROWS] * 2 + [40_000 - 2 * simgen.GEN_BLOCK_ROWS]
+    assert data == ds.tobytes()
+    assert stream.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_streamed_blocks_carry_the_zero_redraws(scenario, monkeypatch):
+    # 200 rows are three 64-row blocks and a partial one. Zeros sit in the
+    # held first block and in later ones: the treatment uniform at rows
+    # 10, 70 and 150 (positions 0 to n - 1), whose redraw for row 70
+    # (position n + 1) is a zero again; u1 at rows 130 and 199 (from
+    # n + 4); u2 at row 64 (from 2n + 6); in scenario 3 the second
+    # treatment uniform at row 190 (from 3n + 7). A later block's draws
+    # come from a private generator, which makes no zeros, so its rows are
+    # right only if the recorded redraws reach them
+    monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
+    n = 200
+    cfg = non_default_config(scenario, n)
+    positions = [10, 70, 150, n + 1, n + 4 + 130, n + 4 + 199, 2 * n + 6 + 64,
+                 3 * n + 7 + 190]
+    whole = ZeroingGenerator(RngStream(53), positions)
+    stream = ZeroingGenerator(RngStream(53), positions)
+    ds = gen_dataset(cfg, whole)
+    data, lengths = streamed_bytes(cfg, stream)
+    assert lengths == [64, 64, 64, 8]
+    assert data == ds.tobytes()
+    assert stream.drawn == whole.drawn
+    assert stream.bit_generator.state == whole.bit_generator.state
 
 
 def test_gap_time_matches_the_plain_form_and_leaves_u():
