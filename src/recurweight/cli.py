@@ -19,23 +19,17 @@ the bias_pct column, marked in md and JSON, noted in CSV comments.
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .calibrate import ORACLE_SCENARIO, calibrate_beta_c, lookup_calibration
 from .harness import run_simulation
-from .simgen import (
-    ALPHA0_BY_PREVALENCE,
-    GAMMA0_BY_PREVALENCE,
-    ScenarioConfig,
-    config_for,
-    gen_blocks,
-    write_dataset_csv,
-)
+from .simgen import ScenarioConfig, config_for, gen_blocks, write_dataset_csv
 # perfbench/spans.py wraps this name as a span target; generate streams
 # gen_blocks and never calls it. It goes together with that target.
 from .simgen import gen_dataset  # noqa: F401
@@ -74,22 +68,23 @@ _IGNORED = "ignored: the marginal-HR oracle is exact"
 class RunManifest:
     """Everything needed to reproduce one invocation.
 
-    Fields print in this order. parse_args sets every field that
-    defaults to None; the command fills in beta_c_values once the
-    truth is resolved.
+    Fields print in this order. scenario ... tau print config, the
+    run's ScenarioConfig; the command runs it with each target's
+    beta_c and fills in beta_c_values once the truth is resolved.
     """
 
     command: str
+    config: InitVar[ScenarioConfig]
     scenario: int = None
     n_subjects: int = None
     alpha0: float = None
-    alpha1: float = ScenarioConfig.alpha1
+    alpha1: float = None
     gamma0: float = None
-    gamma1: float = ScenarioConfig.gamma1
-    gamma2: float = ScenarioConfig.gamma2
-    beta1: float = ScenarioConfig.beta1
-    baseline_rate: float = ScenarioConfig.baseline_rate
-    drift_sd: float = ScenarioConfig.drift_sd
+    gamma1: float = None
+    gamma2: float = None
+    beta1: float = None
+    baseline_rate: float = None
+    drift_sd: float = None
     tau: float = None
     prevalence: float = None
     target_hrs: tuple = None
@@ -100,6 +95,14 @@ class RunManifest:
     recalibrate: bool = None
     oracle_n: int = None
     beta_c_values: tuple = ()
+
+    def __post_init__(self, config):
+        self.config = config
+        for f in fields(config):
+            if f.name != "beta_c":  # one per target: beta_c_values
+                setattr(self, f.name, getattr(config, f.name))
+        # a plain int: on Python 3.10, str() of an IntEnum member is its name
+        self.scenario = int(config.scenario)
 
 
 # the manifest fields a calibration solve reads; the others are study inputs
@@ -135,12 +138,12 @@ def _add_common(sub, target_hr):
     sub.add_argument(
         "--scenario", choices=sorted(SCENARIO_BY_NAME), default=None
     )
-    sub.add_argument("--n", type=_positive(int, "--n"), default=10_000)
+    sub.add_argument("--n", type=int, default=10_000)
     sub.add_argument(
         "--prevalence", type=float, choices=[0.25, 0.5], default=0.25
     )
     sub.add_argument("--target-hr", default=target_hr)
-    sub.add_argument("--tau", type=_positive(float, "--tau"), default=None)
+    sub.add_argument("--tau", type=float, default=None)
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     sub.add_argument("--out", default=None)
 
@@ -178,14 +181,19 @@ def parse_args(argv):
     if args.command == "calibrate":
         return RunManifest(
             command="calibrate",
-            scenario=int(ORACLE_SCENARIO),
+            config=ScenarioConfig(scenario=ORACLE_SCENARIO),
             target_hrs=_parse_targets(args.targets, parser),
             output_format=args.format,
             output_path=args.out,
         )
 
-    if args.n < 2:
-        parser.error("--n must be at least 2: need at least 2 subjects")
+    # the config is the one check of --n and --tau
+    try:
+        config = config_for(SCENARIO_BY_NAME[args.scenario or "independent"],
+                            prevalence=args.prevalence, n_subjects=args.n,
+                            tau=args.tau)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     if args.tau is not None and args.scenario is None:
@@ -195,11 +203,7 @@ def parse_args(argv):
         parser.error("generate takes exactly one --target-hr value")
     return RunManifest(
         command=args.command,
-        scenario=SCENARIO_BY_NAME[args.scenario or "independent"],
-        n_subjects=args.n,
-        alpha0=ALPHA0_BY_PREVALENCE[args.prevalence],
-        gamma0=GAMMA0_BY_PREVALENCE[args.prevalence],
-        tau=args.tau,
+        config=config,
         prevalence=args.prevalence,
         target_hrs=targets,
         n_reps=args.reps,
@@ -366,22 +370,12 @@ def _cmd_calibrate(manifest):
     return 0
 
 
-def _config_from(manifest, beta_c):
-    return config_for(
-        manifest.scenario,
-        prevalence=manifest.prevalence,
-        n_subjects=manifest.n_subjects,
-        beta_c=beta_c,
-        tau=manifest.tau,
-    )
-
-
 def _cmd_simulate(manifest):
     entries = [(hr, _resolve_entry(hr, manifest)) for hr in manifest.target_hrs]
     manifest.beta_c_values = tuple(e.beta_c for _, e in entries)
     rows = []
     for hr, entry in entries:
-        config = _config_from(manifest, entry.beta_c)
+        config = replace(manifest.config, beta_c=entry.beta_c)
         for event, summary in enumerate(
             run_simulation(config, entry, manifest.n_reps, manifest.master_seed),
             start=1,
@@ -413,7 +407,7 @@ def _cmd_simulate(manifest):
 def _cmd_generate(manifest):
     entry = _resolve_entry(manifest.target_hrs[0], manifest)
     manifest.beta_c_values = (entry.beta_c,)
-    config = _config_from(manifest, entry.beta_c)
+    config = replace(manifest.config, beta_c=entry.beta_c)
     with _output(manifest.output_path) as fh:
         fh.write("\n".join(_manifest_lines(manifest, "#")) + "\n")
         write_dataset_csv(gen_blocks(config, RngStream(manifest.master_seed)), fh)
@@ -434,6 +428,11 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[manifest.command](manifest)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`; --out files raise RuntimeError):
+        # point stdout at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

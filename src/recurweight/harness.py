@@ -39,7 +39,6 @@ from multiprocessing import Pool, cpu_count
 
 import numpy as np
 
-from .calibrate import CalibrationEntry
 from .coxfit import (
     CoxConvergenceError,
     MonotoneLikelihoodError,

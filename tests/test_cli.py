@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import recurweight
+from recurweight import cli
 from recurweight.calibrate import lookup_calibration
 from recurweight.cli import (
     CALIBRATION_COLUMNS,
     SUMMARY_COLUMNS,
-    _config_from,
     emit_calibration,
     emit_table,
     main,
@@ -268,16 +268,45 @@ def test_generate_stdout_equals_out_file(tmp_path, capsys):
     )
 
 
-def test_manifest_generator_fields_match_the_config():
-    m = parse_args(
-        "generate --scenario tv-treatment --prevalence 0.5 --tau 2".split()
-    )
-    config = _config_from(m, beta_c=0.46)
-    shared = {f.name for f in fields(ScenarioConfig)} & {f.name for f in fields(m)}
-    assert {"alpha0", "alpha1", "gamma0", "gamma1", "gamma2", "beta1",
-            "baseline_rate", "drift_sd"} <= shared
+def _record_configs(monkeypatch, name):
+    """Make cli.<name> record each config it runs, then run it."""
+    configs, run = [], getattr(cli, name)
+
+    def recording(config, *args):
+        configs.append(config)
+        return run(config, *args)
+
+    monkeypatch.setattr(cli, name, recording)
+    return configs
+
+
+def test_manifest_generator_fields_match_the_config(monkeypatch, capsys):
+    # the manifest prints every generator parameter of the configs a
+    # command runs, beta_c as one beta_c_values entry per target
+    shared = [f.name for f in fields(ScenarioConfig) if f.name != "beta_c"]
+    monkeypatch.setenv("RECURWEIGHT_THREADS", "1")
+    studied = _record_configs(monkeypatch, "run_simulation")
+    assert run_cli("simulate --scenario tv-treatment --prevalence 0.5 --tau 2 "
+                   "--n 500 --reps 2 --target-hr 1.5,2 --seed 3 --format json".split()) == 0
+    printed = json.loads(capsys.readouterr().out)["manifest"]
+    assert printed["beta_c_values"] == [c.beta_c for c in studied] == [0.4599, 0.783]
+    for config in studied:
+        for name in shared:
+            assert printed[name] == getattr(config, name), name
+
+    dumped = _record_configs(monkeypatch, "gen_blocks")
+    assert run_cli("generate --scenario tv-covariates --tau 0.5 --n 40 --target-hr 2 "
+                   "--seed 3".split()) == 0
+    printed = dict(line[2:].split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("# ") and ": " in line)
+    [config] = dumped
+    assert printed["beta_c_values"] == repr(config.beta_c) == "0.783"
+    # a plain int, since on Python 3.10 str() of an IntEnum member is its name
+    assert printed["scenario"] == "2"
+    assert type(parse_args(["generate"]).scenario) is int
     for name in shared:
-        assert getattr(m, name) == getattr(config, name), name
+        if name != "scenario":
+            assert printed[name] == str(getattr(config, name)), name
 
 
 def test_calibrate_small_oracle(tmp_path):
@@ -343,6 +372,22 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_an_error():
+    # the reader stops after one line, as `generate | head -1` does: the
+    # command stops with exit 1 and writes nothing to stderr
+    src = str(Path(recurweight.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "recurweight.cli", "generate", "--n", "20000"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"# recurweight")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_unwritable_path_exit_1(tmp_path, capsys):

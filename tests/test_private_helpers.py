@@ -7,7 +7,9 @@ few names kept for the tests on purpose are listed with their reasons,
 and a private name is never among them: demos and tests may not lean on
 it, so an unused one is simply dead. Nor does library code read or
 write an underscore attribute through a dot (`obj._name`): what is
-private to an object or module stays behind its own name.
+private to an object or module stays behind its own name. And every
+name a module imports is used in that module, apart from the few that
+the benchmark's timing spans wrap, listed by name.
 """
 
 import ast
@@ -19,6 +21,11 @@ LIBRARY = Path(__file__).resolve().parent.parent / "src" / "recurweight"
 KEPT_FOR_TESTS = {
     "coxfit.partial_loglik": "the tests' reference for the Cox partial likelihood",
 }
+
+# imported and unused, kept on purpose: perfbench/spans.py wraps each one as
+# a span target, so the benchmark's smoke test needs it to resolve
+KEPT_IMPORTS = {"calibrate.fit_weighted_cox", "calibrate.gen_potential_outcomes",
+                "cli.gen_dataset"}
 
 
 def _unreferenced_names(sources):
@@ -58,6 +65,23 @@ def _private_attribute_accesses(sources):
     ]
 
 
+def _unused_imports(sources):
+    """`module.name` of each name a module imports and never names again."""
+    unused = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused.extend(
+            f"{module}.{name}"
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            # `import a.b` binds a
+            for name in [(alias.asname or alias.name).partition(".")[0]]
+            if name not in used
+        )
+    return unused
+
+
 def _is_private(qualified_name):
     return qualified_name.rpartition(".")[2].startswith("_")
 
@@ -88,6 +112,26 @@ def test_check_sees_each_kind_of_reference():
     }
     assert _unreferenced_names(sources) == ["a._only_itself", "a._Unused", "a.unused_public"]
     assert _private_attribute_accesses(sources) == ["b: a._by_attribute", "b: a.public()._state"]
+
+
+def test_import_check_sees_each_kind_of_use():
+    sources = {
+        "a": (
+            "import os\n"
+            "import numpy as np\n"
+            "import xml.dom\n"
+            "from . import b\n"
+            "from .b import c as d, e, f\n"
+            "np.zeros(1)\n"
+            "print(d)\n"
+            "def g(x: e): pass\n"
+        ),
+    }
+    assert _unused_imports(sources) == ["a.os", "a.xml", "a.b", "a.f"]
+
+
+def test_every_import_is_used_in_its_module():
+    assert sorted(_unused_imports(_library_sources())) == sorted(KEPT_IMPORTS)
 
 
 def test_every_private_helper_is_used_by_the_library():

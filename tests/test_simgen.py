@@ -5,7 +5,11 @@ the generator's pinned bytes, draw order and peak memory."""
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,27 +220,55 @@ def test_csv_roundtrip(tmp_path, monkeypatch):
 
 # sha256 of gen_dataset(...).tobytes() for a config away from the defaults
 # the writer digests use: 50% prevalence, a baseline rate and drift sd
-# other than 1 and 4, a nonzero effect and censoring at tau = 0.5
+# other than 1 and 4, a nonzero effect and censoring at tau = 0.5; one per
+# numpy dispatch target of log and exp (see conftest)
 NON_DEFAULT_DIGESTS = {
-    1: "1a56a0e2c6aec638f871b8410db1cefe9bd1aa2a77ddbe9208ba6a1274a94d89",
-    2: "f49f24b73ae51de6a83eaaa25b124a4fc812fd9540d44992c427c0815927eb08",
-    3: "a7816bfb0afdb01de9f9b1c613ab45e63b1708d8213f3f77a1be381848f26d30",
+    1: {
+        "X86_V4": "1a56a0e2c6aec638f871b8410db1cefe9bd1aa2a77ddbe9208ba6a1274a94d89",
+        "X86_V3": "8169bcb142e8d39a505261a5a7fd38d14da7fd0fb8057c542ce7bccc8ac5e46c",
+    },
+    2: {
+        "X86_V4": "f49f24b73ae51de6a83eaaa25b124a4fc812fd9540d44992c427c0815927eb08",
+        "X86_V3": "e5e8cf1956b7b067349ec9a3f92c43031cf342b0fd3ac0e2ff2abfe666b8c624",
+    },
+    3: {
+        "X86_V4": "a7816bfb0afdb01de9f9b1c613ab45e63b1708d8213f3f77a1be381848f26d30",
+        "X86_V3": "e6db04d0eec3f412b2848a0c49f7f9356193006cf3840c10a1d54f6c1490dd5e",
+    },
 }
 
 # the same configs at 40,000 subjects: three blocks of GEN_BLOCK_ROWS rows,
 # the last one partial
 MULTI_BLOCK_DIGESTS = {
-    1: "323b139836fdc9f709293cd3c34abe4d42adbe0ea358e8f630aa04ec80b3c20b",
-    2: "e8a0835158f7de5222aa5338c7eab0c23903b8e760abfcb976f916b36995282b",
-    3: "fee88296538a790884aa4340ea1da26122d0bf45acbb8a60abc971f8a37c0849",
+    1: {
+        "X86_V4": "323b139836fdc9f709293cd3c34abe4d42adbe0ea358e8f630aa04ec80b3c20b",
+        "X86_V3": "e3a7bc4b0563a1f63d110b77b867a5198adcde19e3c20899678dc41702600def",
+    },
+    2: {
+        "X86_V4": "e8a0835158f7de5222aa5338c7eab0c23903b8e760abfcb976f916b36995282b",
+        "X86_V3": "106c2e89e5a079a367bc124ddaf5e63a0fa65af0460b2706780a322e8478ac07",
+    },
+    3: {
+        "X86_V4": "fee88296538a790884aa4340ea1da26122d0bf45acbb8a60abc971f8a37c0849",
+        "X86_V3": "a7264094c028e47ceb5bd8fe664c5282055ab2e6c413f891494e3c119c27ce03",
+    },
 }
 
 # sha256 of gen_potential_outcomes(...).tobytes() for the 5,000-subject configs;
 # the oracle ignores the gammas and tau, so scenarios 2 and 3 agree
 POTENTIAL_OUTCOME_DIGESTS = {
-    1: "c0c613032f10e0f89ce5bab76d0b9f301dbf87023fa76e50b6b42c2fbca119e3",
-    2: "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
-    3: "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
+    1: {
+        "X86_V4": "c0c613032f10e0f89ce5bab76d0b9f301dbf87023fa76e50b6b42c2fbca119e3",
+        "X86_V3": "efff7b3f38bec880d41ca3cfe6ee66d1ef5fbeabcc68915b21e48076cd36e5c5",
+    },
+    2: {
+        "X86_V4": "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
+        "X86_V3": "c9a4f3be3a049efb5bd7f6c06550d57ef2779c4baec9b0043c76be7425649392",
+    },
+    3: {
+        "X86_V4": "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
+        "X86_V3": "c9a4f3be3a049efb5bd7f6c06550d57ef2779c4baec9b0043c76be7425649392",
+    },
 }
 
 
@@ -254,22 +286,64 @@ def non_default_config(scenario, n_subjects=5_000):
 
 
 @pytest.mark.parametrize("scenario", sorted(NON_DEFAULT_DIGESTS))
-def test_dataset_bytes_match_the_recorded_digest(scenario):
+def test_dataset_bytes_match_the_recorded_digest(scenario, pinned_digest):
     ds = gen_dataset(non_default_config(scenario), RngStream(2029, 7))
-    assert hashlib.sha256(ds.tobytes()).hexdigest() == NON_DEFAULT_DIGESTS[scenario]
+    assert hashlib.sha256(ds.tobytes()).hexdigest() == pinned_digest(
+        NON_DEFAULT_DIGESTS[scenario])
 
 
 @pytest.mark.parametrize("scenario", sorted(MULTI_BLOCK_DIGESTS))
-def test_multi_block_dataset_bytes_match_the_recorded_digest(scenario):
+def test_multi_block_dataset_bytes_match_the_recorded_digest(scenario, pinned_digest):
     assert 40_000 // simgen.GEN_BLOCK_ROWS == 2
     ds = gen_dataset(non_default_config(scenario, 40_000), RngStream(2029, 7))
-    assert hashlib.sha256(ds.tobytes()).hexdigest() == MULTI_BLOCK_DIGESTS[scenario]
+    assert hashlib.sha256(ds.tobytes()).hexdigest() == pinned_digest(
+        MULTI_BLOCK_DIGESTS[scenario])
 
 
 @pytest.mark.parametrize("scenario", sorted(POTENTIAL_OUTCOME_DIGESTS))
-def test_potential_outcome_bytes_match_the_recorded_digest(scenario):
+def test_potential_outcome_bytes_match_the_recorded_digest(scenario, pinned_digest):
     po = gen_potential_outcomes(non_default_config(scenario), RngStream(2029, 7))
-    assert hashlib.sha256(po.tobytes()).hexdigest() == POTENTIAL_OUTCOME_DIGESTS[scenario]
+    assert hashlib.sha256(po.tobytes()).hexdigest() == pinned_digest(
+        POTENTIAL_OUTCOME_DIGESTS[scenario])
+
+
+# writes the tv-treatment cohort at seed 77 to stdout, after a line naming the
+# dispatch target of log and exp
+DISPATCH_CHILD = """
+import sys
+from numpy.lib.introspect import opt_func_info
+from recurweight.simgen import config_for, gen_dataset
+from recurweight.statcore import RngStream
+info = opt_func_info(func_name="^(log|exp)$", signature="float64")
+sys.stdout.write(" ".join(sorted({t["current"] for f in info.values() for t in f.values()})))
+ds = gen_dataset(config_for(3, 0.25, 3000, 0.783, tau=0.5), RngStream(77))
+sys.stdout.flush()
+sys.stdout.buffer.write(b"\\n" + ds.tobytes())
+"""
+
+
+def test_cohort_agrees_across_numpy_dispatch_targets():
+    # a child with numpy's X86_V4 kernels disabled runs log and exp on
+    # X86_V3, whose last bits differ on some gap times: every other field
+    # must agree exactly, and the gap times within 2 ulp
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    info = introspect.opt_func_info(func_name="^(log|exp)$", signature="float64")
+    if not all("X86_V4" in t["available"].split() for f in info.values() for t in f.values()):
+        pytest.skip("numpy lists no X86_V4 kernels for log and exp")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4",
+           "PYTHONPATH": str(Path(simgen.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", DISPATCH_CHILD], env=env,
+                         capture_output=True, check=True).stdout
+    target, _, raw = out.partition(b"\n")
+    assert target == b"X86_V3"
+    there = np.frombuffer(raw, dtype=SUBJECT_DTYPE)
+    here = gen_dataset(config_for(3, 0.25, 3000, 0.783, tau=0.5), RngStream(77))
+    for name in ("x1", "x2", "z1", "z2", "delta1", "delta2"):
+        assert np.array_equal(there[name], here[name]), name
+    for name in ("w1", "w2"):
+        # positive finite doubles: the distance of their bit patterns is in ulp
+        ulps = np.abs(there[name].view(np.int64) - here[name].view(np.int64))
+        assert ulps.max() <= 2, name
 
 
 @pytest.mark.parametrize("tau", [None, 0.5])
