@@ -15,11 +15,12 @@ S0(t) = E_X exp(-t lambda e^{beta1 X}) is the survival function of a
 control gap time and f0 its density; the treated arm is the rescaling
 S1(t) = S0(t e^{beta_c}), f1(t) = e^{beta_c} f0(t e^{beta_c}). X is the
 covariate on the gap's hazard: N(0, 1) for the first gap and, under
-drift, N(0, 1 + drift_sd^2) for the second. The oracle evaluates U as
-a Gauss-Hermite sum in X inside a uniform grid in log t and takes its
-root with a bracketed secant; a second secant solves for the beta_c
-whose first-event marginal effect hits a requested target. Nothing is
-drawn, so both roots run to tight tolerances.
+drift, N(0, 1 + drift_sd^2) for the second. lambda, beta1 and drift_sd
+are the generator's fixed BASELINE_RATE, BETA1 and DRIFT_SD. The oracle
+evaluates U as a Gauss-Hermite sum in X inside a uniform grid in log t
+and takes its root with a bracketed secant; a second secant solves for
+the beta_c whose first-event marginal effect hits a requested target.
+Nothing is drawn, so both roots run to tight tolerances.
 
 The module ships the calibrated table for the five standard targets
 (marginal HR 1 to 3) so simulation runs do not pay the solve; passing
@@ -31,10 +32,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .simgen import BASELINE_RATE, BETA1, DRIFT_SD, Scenario
+
 # perfbench/spans.py wraps these two names as span targets; nothing here
 # calls them. They go together with those targets.
 from .coxfit import fit_weighted_cox  # noqa: F401
-from .simgen import Scenario, ScenarioConfig, gen_potential_outcomes  # noqa: F401
+from .simgen import gen_potential_outcomes  # noqa: F401
 
 # the design whose gap times define the marginal truths
 ORACLE_SCENARIO = Scenario.TVTreatmentCovariates
@@ -170,16 +173,16 @@ def _survival_terms(times, rates, weights):
     return weights @ e, weights @ u
 
 
-@lru_cache(maxsize=4)
-def _control_arm(sd, beta1, baseline_rate):
+@lru_cache(maxsize=2)
+def _control_arm(sd):
     """Node rates, S0 and t f0 of a gap whose covariate is N(0, sd^2).
 
     None of them depends on beta_c, so a calibration solve computes
-    them once per covariate law. The key holds every value they are
-    built from; the arrays are read-only, since every caller shares them.
+    them once per covariate law; the arrays are read-only, since every
+    caller shares them.
     """
     nodes, weights, times, _ = _quadrature()
-    rates = baseline_rate * np.exp(beta1 * sd * nodes)
+    rates = BASELINE_RATE * np.exp(BETA1 * sd * nodes)
     arm = (rates, *_survival_terms(times, rates, weights))
     for a in arm:
         a.flags.writeable = False
@@ -191,7 +194,7 @@ def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
     """Marginal log HR that beta_c induces on one event's gap time.
 
     The root of the limiting Cox score U of the module docstring, at
-    the ScenarioConfig defaults for beta1, baseline_rate and drift_sd.
+    the generator's fixed BETA1, BASELINE_RATE and DRIFT_SD.
     On the log-time grid dt = t ds, so U is a sum of
     [t f1 S0 - e^beta t f0 S1] / (S0 + e^beta S1) over the points where
     S0 + S1 > 0 (both underflow at large t). Raises ValueError when no
@@ -202,11 +205,9 @@ def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
         raise ValueError("event must be 1 or 2")
     sd = 1.0
     if Scenario(scenario) is not Scenario.IndependentGaps and event == 2:
-        sd = np.sqrt(1.0 + ScenarioConfig.drift_sd**2)
+        sd = np.sqrt(1.0 + DRIFT_SD**2)
     _, weights, times, step = _quadrature()
-    rates, s0, tf0 = _control_arm(
-        sd, ScenarioConfig.beta1, ScenarioConfig.baseline_rate
-    )
+    rates, s0, tf0 = _control_arm(sd)
     s1, tf1 = _survival_terms(times * np.exp(beta_c), rates, weights)
     mass = s0 + s1 > 0
     if not mass.any():

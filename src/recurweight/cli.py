@@ -26,10 +26,10 @@ from dataclasses import InitVar, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simgen
 from .calibrate import ORACLE_SCENARIO, calibrate_beta_c, lookup_calibration
 from .harness import run_simulation
-from .simgen import ScenarioConfig, config_for, gen_blocks, write_dataset_csv
+from .simgen import ScenarioConfig, gen_blocks, write_dataset_csv
 # perfbench/spans.py wraps this name as a span target; generate streams
 # gen_blocks and never calls it. It goes together with that target.
 from .simgen import gen_dataset  # noqa: F401
@@ -68,9 +68,9 @@ _IGNORED = "ignored: the marginal-HR oracle is exact"
 class RunManifest:
     """Everything needed to reproduce one invocation.
 
-    Fields print in this order. scenario ... tau print config, the
-    run's ScenarioConfig; the command runs it with each target's
-    beta_c and fills in beta_c_values once the truth is resolved.
+    Fields print in this order: config, the run's ScenarioConfig, with
+    its intercepts and simgen's fixed design. The command runs config with
+    each target's beta_c and fills in beta_c_values once the truth is known.
     """
 
     command: str
@@ -78,13 +78,13 @@ class RunManifest:
     scenario: int = None
     n_subjects: int = None
     alpha0: float = None
-    alpha1: float = None
+    alpha1: float = simgen.ALPHA1
     gamma0: float = None
-    gamma1: float = None
-    gamma2: float = None
-    beta1: float = None
-    baseline_rate: float = None
-    drift_sd: float = None
+    gamma1: float = simgen.GAMMA1
+    gamma2: float = simgen.GAMMA2
+    beta1: float = simgen.BETA1
+    baseline_rate: float = simgen.BASELINE_RATE
+    drift_sd: float = simgen.DRIFT_SD
     tau: float = None
     prevalence: float = None
     target_hrs: tuple = None
@@ -103,6 +103,8 @@ class RunManifest:
                 setattr(self, f.name, getattr(config, f.name))
         # a plain int: on Python 3.10, str() of an IntEnum member is its name
         self.scenario = int(config.scenario)
+        self.alpha0 = simgen.ALPHA0_BY_PREVALENCE[config.prevalence]
+        self.gamma0 = simgen.GAMMA0_BY_PREVALENCE[config.prevalence]
 
 
 # the manifest fields a calibration solve reads; the others are study inputs
@@ -177,34 +179,35 @@ def parse_args(argv):
                      oracle_n=DEFAULT_ORACLE_N)
 
     args = parser.parse_args(argv)
+    # checks after parsing print the subcommand's usage, as argparse's own do
+    usage = commands.choices[args.command]
 
     if args.command == "calibrate":
         return RunManifest(
             command="calibrate",
             config=ScenarioConfig(scenario=ORACLE_SCENARIO),
-            target_hrs=_parse_targets(args.targets, parser),
+            target_hrs=_parse_targets(args.targets, usage),
             output_format=args.format,
             output_path=args.out,
         )
 
     # the config is the one check of --n and --tau
     try:
-        config = config_for(SCENARIO_BY_NAME[args.scenario or "independent"],
-                            prevalence=args.prevalence, n_subjects=args.n,
-                            tau=args.tau)
+        config = ScenarioConfig(SCENARIO_BY_NAME[args.scenario or "independent"],
+                                prevalence=args.prevalence, n_subjects=args.n,
+                                tau=args.tau)
     except ValueError as exc:
-        parser.error(str(exc))
+        usage.error(str(exc))
     if args.seed < 0:
-        parser.error("--seed must be non-negative")
+        usage.error("--seed must be non-negative")
     if args.tau is not None and args.scenario is None:
-        parser.error("--tau requires an explicit --scenario")
-    targets = _parse_targets(args.target_hr, parser)
+        usage.error("--tau requires an explicit --scenario")
+    targets = _parse_targets(args.target_hr, usage)
     if args.command == "generate" and len(targets) != 1:
-        parser.error("generate takes exactly one --target-hr value")
+        usage.error("generate takes exactly one --target-hr value")
     return RunManifest(
         command=args.command,
         config=config,
-        prevalence=args.prevalence,
         target_hrs=targets,
         n_reps=args.reps,
         master_seed=args.seed,

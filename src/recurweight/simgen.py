@@ -26,7 +26,7 @@ u1 and u2 by construction.
 import enum
 import itertools
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,38 +40,37 @@ class Scenario(enum.IntEnum):
     TVTreatmentCovariates = 3
 
 
-LN15 = float(np.log(1.5))
+# the paper's fixed design: every propensity and hazard slope is ln 1.5, the
+# covariate drifts by N(0, DRIFT_SD^2) and the baseline hazard is 1; the
+# generator and the marginal-HR oracle read these same values
+ALPHA1 = GAMMA1 = GAMMA2 = BETA1 = float(np.log(1.5))
+DRIFT_SD = 4.0
+BASELINE_RATE = 1.0
 
-# intercepts giving 25% / 50% treatment prevalence for the default slopes
+# intercepts of the first and second treatment models, by prevalence. z1 is
+# 25% / 50% treated. z2 is 25% treated at 0.25, but at 0.5 it is 51.75%
+# (scenario 3, n = 2x10^6): -0.1 gives 50% only with z1 at 25%
 ALPHA0_BY_PREVALENCE = {0.25: -1.1392, 0.5: 0.0}
 GAMMA0_BY_PREVALENCE = {0.25: -1.7233, 0.5: -0.1000}
 
 
 @dataclass
 class ScenarioConfig:
-    """Full parameterization of one data-generating scenario."""
+    """What a study varies across its cells; the rest of the design is the
+    module constants above. prevalence picks the treatment intercepts."""
 
     scenario: Scenario = Scenario.IndependentGaps
+    prevalence: float = 0.25
     n_subjects: int = 10_000
-    alpha0: float = ALPHA0_BY_PREVALENCE[0.25]
-    alpha1: float = LN15
-    gamma0: float = GAMMA0_BY_PREVALENCE[0.25]
-    gamma1: float = LN15
-    gamma2: float = LN15
-    beta1: float = LN15
     beta_c: float = 0.0
-    baseline_rate: float = 1.0
-    drift_sd: float = 4.0
     tau: Optional[float] = None
 
     def __post_init__(self):
         self.scenario = Scenario(self.scenario)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-            if f.name in ("baseline_rate", "drift_sd") and value <= 0:
-                raise ValueError(f"{f.name} must be positive")
+        if self.prevalence not in ALPHA0_BY_PREVALENCE:
+            raise ValueError(f"prevalence must be one of {sorted(ALPHA0_BY_PREVALENCE)}")
+        if not np.isfinite(self.beta_c):
+            raise ValueError(f"beta_c must be finite, got {self.beta_c}")
         try:
             operator.index(self.n_subjects)
         except TypeError:
@@ -82,18 +81,8 @@ class ScenarioConfig:
             raise ValueError("tau must be positive and finite when set")
 
 
-def config_for(scenario, prevalence=0.25, n_subjects=10_000, beta_c=0.0, tau=None):
-    """ScenarioConfig with intercepts matched to a treatment prevalence."""
-    if prevalence not in ALPHA0_BY_PREVALENCE:
-        raise ValueError(f"prevalence must be one of {sorted(ALPHA0_BY_PREVALENCE)}")
-    return ScenarioConfig(
-        scenario=Scenario(scenario),
-        n_subjects=n_subjects,
-        alpha0=ALPHA0_BY_PREVALENCE[prevalence],
-        gamma0=GAMMA0_BY_PREVALENCE[prevalence],
-        beta_c=beta_c,
-        tau=tau,
-    )
+# the benchmark and the demos build their configs by this name
+config_for = ScenarioConfig
 
 
 SUBJECT_DTYPE = np.dtype(
@@ -152,15 +141,17 @@ def _columns(config):
     at once into z1 and z2; the drift is added into x2. Nothing here
     depends on beta_c."""
     c = config
+    alpha0 = ALPHA0_BY_PREVALENCE[c.prevalence]
+    gamma0 = GAMMA0_BY_PREVALENCE[c.prevalence]
     columns = [(["x1", "x2"], _drawn, 1.0),
-               ("z1", lambda b, u: u < expit(c.alpha0 + c.alpha1 * b["x1"]), None),
+               ("z1", lambda b, u: u < expit(alpha0 + ALPHA1 * b["x1"]), None),
                ("w1", _drawn, None),
                ("w2", _drawn, None)]
     if c.scenario is not Scenario.IndependentGaps:
-        columns.append(("x2", lambda b, v: b["x2"] + v, c.drift_sd))
+        columns.append(("x2", lambda b, v: b["x2"] + v, DRIFT_SD))
     if c.scenario is Scenario.TVTreatmentCovariates:
-        columns.append(("z2", lambda b, u: u < expit(c.gamma0 + c.gamma1 * b["x2"]
-                                                     + c.gamma2 * b["z1"]), None))
+        columns.append(("z2", lambda b, u: u < expit(gamma0 + GAMMA1 * b["x2"]
+                                                     + GAMMA2 * b["z1"]), None))
     return columns
 
 
@@ -212,7 +203,7 @@ def _derive(config, b):
     if c.scenario is not Scenario.TVTreatmentCovariates:
         b["z2"] = b["z1"]
     for w, x, z in (("w1", "x1", "z1"), ("w2", "x2", "z2")):
-        b[w] = gen_gap_time(b[w], c.beta1 * b[x] + c.beta_c * b[z], c.baseline_rate)
+        b[w] = gen_gap_time(b[w], BETA1 * b[x] + c.beta_c * b[z], BASELINE_RATE)
     if c.tau is None:
         b["delta1"] = b["delta2"] = 1
     else:
@@ -287,9 +278,9 @@ def gen_potential_outcomes(config, stream):
     out = np.empty(c.n_subjects, dtype=ORACLE_DTYPE)
     out["x1"], out["x2"] = ds["x1"], ds["x2"]
     for w, x in (("w1", "x1"), ("w2", "x2")):
-        lp = c.beta1 * ds[x]
-        out[f"{w}_treated"] = gen_gap_time(ds[w], lp + c.beta_c, c.baseline_rate)
-        out[f"{w}_control"] = gen_gap_time(ds[w], lp, c.baseline_rate)
+        lp = BETA1 * ds[x]
+        out[f"{w}_treated"] = gen_gap_time(ds[w], lp + c.beta_c, BASELINE_RATE)
+        out[f"{w}_control"] = gen_gap_time(ds[w], lp, BASELINE_RATE)
     return out
 
 

@@ -25,7 +25,14 @@ from recurweight.calibrate import (
     marginal_hr_oracle,
 )
 from recurweight.coxfit import SurvivalSample, fit_weighted_cox
-from recurweight.simgen import Scenario, ScenarioConfig, gen_potential_outcomes
+from recurweight.simgen import (
+    BASELINE_RATE,
+    BETA1,
+    DRIFT_SD,
+    Scenario,
+    ScenarioConfig,
+    gen_potential_outcomes,
+)
 from recurweight.statcore import RngStream
 
 LN2 = float(np.log(2.0))
@@ -40,9 +47,9 @@ def reference_survival_terms(times, rates, weights):
 def reference_rates(event, scenario=calibrate.ORACLE_SCENARIO):
     sd = 1.0
     if Scenario(scenario) is not Scenario.IndependentGaps and event == 2:
-        sd = np.sqrt(1.0 + ScenarioConfig.drift_sd**2)
+        sd = np.sqrt(1.0 + DRIFT_SD**2)
     nodes = calibrate._quadrature()[0]
-    return ScenarioConfig.baseline_rate * np.exp(ScenarioConfig.beta1 * sd * nodes)
+    return BASELINE_RATE * np.exp(BETA1 * sd * nodes)
 
 
 @np.errstate(all="ignore")
@@ -195,9 +202,7 @@ def test_shared_arrays_are_read_only():
     # every solve shares the quadrature and the control arm, so a write
     # into one of them would corrupt every later solve
     nodes, weights, times, _ = calibrate._quadrature()
-    rates, s0, tf0 = calibrate._control_arm(
-        1.0, ScenarioConfig.beta1, ScenarioConfig.baseline_rate
-    )
+    rates, s0, tf0 = calibrate._control_arm(1.0)
     for a in (nodes, weights, times, rates, s0, tf0):
         with pytest.raises(ValueError, match="read-only"):
             a *= 1.0
@@ -356,35 +361,8 @@ def test_calibration_solve_computes_the_control_arm_once_per_law(monkeypatch):
     calibrate_beta_c(LN2)
     assert arms.count("treated") == len(oracle_calls) == 7
     assert arms.count("control") == 2
-
-
-@pytest.mark.parametrize("field, value, event", [
-    ("drift_sd", 2.0, 2),
-    ("beta1", 0.8, 1),
-    ("baseline_rate", 3.0, 1),
-])
-def test_control_arm_follows_the_scenario_config(monkeypatch, field, value, event):
-    # the cached control arm is keyed on what it is built from, so a
-    # changed default cannot reuse a stale entry; the marginal effect
-    # does not depend on the time scale, so the rates show a stale
-    # baseline_rate where the oracle value cannot
-    default = marginal_hr_oracle(0.783, event)
-    monkeypatch.setattr(ScenarioConfig, field, value)
-    rates_seen = []
-    real_terms = calibrate._survival_terms
-
-    def recording_terms(times, rates, weights):
-        rates_seen.append(rates)
-        return real_terms(times, rates, weights)
-
-    monkeypatch.setattr(calibrate, "_survival_terms", recording_terms)
-    patched = marginal_hr_oracle(0.783, event)
-    assert patched == reference_oracle(0.783, event)
-    assert rates_seen
-    for rates in rates_seen:
-        assert rates.tobytes() == reference_rates(event).tobytes()
-    if field != "baseline_rate":
-        assert patched != default
+    # keyed on the covariate's sd alone: one entry per law
+    assert calibrate._control_arm.cache_info().currsize == 2
 
 
 def test_secant_beats_bisection_on_a_smooth_root():

@@ -26,6 +26,7 @@ from recurweight.cli import (
     main,
     parse_args,
 )
+from recurweight import simgen
 from recurweight.simgen import ScenarioConfig
 
 
@@ -73,7 +74,10 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["calibrate", "--targets", "nan"]) == 2
     assert run_cli(["generate", "--target-hr", "inf"]) == 2
     assert run_cli(["generate", "--n", "1"]) == 2
+    capsys.readouterr()
     assert run_cli(["simulate", "--n", "1"]) == 2
+    # a check made after parsing prints the subcommand's usage, as argparse's do
+    assert capsys.readouterr().err.startswith("usage: recurweight simulate [-h]")
     assert run_cli(["generate", "--seed", "-1"]) == 2
     assert run_cli(["simulate", "--seed", "-1"]) == 2
     capsys.readouterr()
@@ -280,10 +284,20 @@ def _record_configs(monkeypatch, name):
     return configs
 
 
+def _printed_design(config):
+    """What the manifest prints for a config: its fields but beta_c, the
+    intercepts its prevalence picks and simgen's fixed slopes, rate and drift."""
+    values = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "beta_c"}
+    return {**values,
+            "alpha0": simgen.ALPHA0_BY_PREVALENCE[config.prevalence], "alpha1": simgen.ALPHA1,
+            "gamma0": simgen.GAMMA0_BY_PREVALENCE[config.prevalence], "gamma1": simgen.GAMMA1,
+            "gamma2": simgen.GAMMA2, "beta1": simgen.BETA1,
+            "baseline_rate": simgen.BASELINE_RATE, "drift_sd": simgen.DRIFT_SD}
+
+
 def test_manifest_generator_fields_match_the_config(monkeypatch, capsys):
     # the manifest prints every generator parameter of the configs a
     # command runs, beta_c as one beta_c_values entry per target
-    shared = [f.name for f in fields(ScenarioConfig) if f.name != "beta_c"]
     monkeypatch.setenv("RECURWEIGHT_THREADS", "1")
     studied = _record_configs(monkeypatch, "run_simulation")
     assert run_cli("simulate --scenario tv-treatment --prevalence 0.5 --tau 2 "
@@ -291,8 +305,8 @@ def test_manifest_generator_fields_match_the_config(monkeypatch, capsys):
     printed = json.loads(capsys.readouterr().out)["manifest"]
     assert printed["beta_c_values"] == [c.beta_c for c in studied] == [0.4599, 0.783]
     for config in studied:
-        for name in shared:
-            assert printed[name] == getattr(config, name), name
+        for name, value in _printed_design(config).items():
+            assert printed[name] == value, name
 
     dumped = _record_configs(monkeypatch, "gen_blocks")
     assert run_cli("generate --scenario tv-covariates --tau 0.5 --n 40 --target-hr 2 "
@@ -304,9 +318,9 @@ def test_manifest_generator_fields_match_the_config(monkeypatch, capsys):
     # a plain int, since on Python 3.10 str() of an IntEnum member is its name
     assert printed["scenario"] == "2"
     assert type(parse_args(["generate"]).scenario) is int
-    for name in shared:
+    for name, value in _printed_design(config).items():
         if name != "scenario":
-            assert printed[name] == str(getattr(config, name)), name
+            assert printed[name] == str(value), name
 
 
 def test_calibrate_small_oracle(tmp_path):
@@ -335,9 +349,9 @@ def test_calibrate_manifest_lists_what_governs_the_solve(tmp_path):
     m.beta_c_values = (0.783,)
     want = {
         "command": "calibrate", "scenario": 3,
-        "beta1": ScenarioConfig.beta1,
-        "baseline_rate": ScenarioConfig.baseline_rate,
-        "drift_sd": ScenarioConfig.drift_sd,
+        "beta1": simgen.BETA1,
+        "baseline_rate": simgen.BASELINE_RATE,
+        "drift_sd": simgen.DRIFT_SD,
         "target_hrs": [2.0],
         "output_format": "csv", "output_path": None, "beta_c_values": [0.783],
     }

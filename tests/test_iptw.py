@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from recurweight.iptw import build_treatment_weights
-from recurweight.simgen import ScenarioConfig, config_for, gen_dataset
+from recurweight.simgen import config_for, gen_dataset
 from recurweight.statcore import RngStream, SeparationError, WeightModelError, fit_logistic
 
 
@@ -67,10 +67,24 @@ def test_fixed_treatment_weights_coincide():
         assert np.array_equal(tw.sw1, tw.sw2)
 
 
-def test_second_prevalence_at_gamma0_minus_point1():
-    cfg = ScenarioConfig(scenario=3, n_subjects=100_000, gamma0=-0.1000)
-    ds = gen_dataset(cfg, RngStream(35))
-    assert 0.49 < ds["z2"].mean() < 0.51
+# z2's treated share in scenario 3, measured at n = 2x10^6 and seed 1. At
+# prevalence 0.5 it is not 50%: GAMMA0_BY_PREVALENCE[0.5] = -0.1 gives 50%
+# only with z1 at 25% (0.5006 there), and with z1 at 50% the slope on z1
+# lifts z2 to 51.75%
+Z2_SHARE = {0.25: 0.2502, 0.5: 0.5175}
+
+
+def test_treated_shares_at_the_commands_prevalences():
+    # the configs `simulate` and `generate` run: z1 is treated at the
+    # prevalence, z2 at its measured share, each within 4 binomial SEs
+    n = 100_000
+    for prevalence, z2_share in Z2_SHARE.items():
+        ds = gen_dataset(config_for(3, prevalence, n), RngStream(35))
+        for name, share in (("z1", prevalence), ("z2", z2_share)):
+            se = np.sqrt(share * (1.0 - share) / n)
+            assert abs(ds[name].mean() - share) < 4 * se, (prevalence, name)
+    # at prevalence 0.5 the gap from 50% is far outside that band
+    assert abs(Z2_SHARE[0.5] - 0.5) > 10 * np.sqrt(0.25 / n)
 
 
 def test_all_treated_raises_separation():

@@ -2,7 +2,6 @@
 draw-order alignment across scenarios, censoring-indicator logic, and
 the generator's pinned bytes, draw order and peak memory."""
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -18,9 +17,14 @@ from scipy import stats
 from recurweight import simgen
 from recurweight.simgen import (
     ALPHA0_BY_PREVALENCE,
+    ALPHA1,
+    BASELINE_RATE,
+    BETA1,
     DATASET_CSV_HEADER,
+    DRIFT_SD,
     GAMMA0_BY_PREVALENCE,
-    LN15,
+    GAMMA1,
+    GAMMA2,
     SUBJECT_DTYPE,
     Scenario,
     ScenarioConfig,
@@ -61,24 +65,21 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"n_subjects must be an integer, got 10000\.0"):
         config_for(1, 0.25, 1e4)
     assert ScenarioConfig(n_subjects=np.int64(30)).n_subjects == 30
-    with pytest.raises(ValueError):
-        ScenarioConfig(baseline_rate=0.0)
-    for sd in (-1.0, 0.0):
-        with pytest.raises(ValueError, match="drift_sd"):
-            ScenarioConfig(drift_sd=sd)
     for tau in (-0.5, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau"):
             ScenarioConfig(tau=tau)
-    # a non-finite slope, intercept, effect, rate or drift would give nan
-    # gap times, which fail later and far from their cause
-    floats = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type is float]
-    assert len(floats) == 9
-    for name in floats:
-        for value in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                ScenarioConfig(**{name: value})
-    with pytest.raises(ValueError):
-        config_for(1, prevalence=0.3)
+    # a non-finite effect would give nan gap times, which fail later and
+    # far from their cause
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="beta_c must be finite"):
+            ScenarioConfig(beta_c=value)
+    # a prevalence without solved intercepts has no treatment model
+    assert sorted(ALPHA0_BY_PREVALENCE) == sorted(GAMMA0_BY_PREVALENCE) == [0.25, 0.5]
+    for prevalence in sorted(ALPHA0_BY_PREVALENCE):
+        assert config_for(1, prevalence).prevalence == prevalence
+    for prevalence in (0.3, 0.0, 1.0, float("nan"), "0.5"):
+        with pytest.raises(ValueError, match=r"prevalence must be one of \[0\.25, 0\.5\]"):
+            config_for(1, prevalence=prevalence)
 
 
 def test_scenario_coercion():
@@ -105,11 +106,13 @@ def test_covariate_drift_correlation():
 
 
 def test_null_gaps_are_unit_exponential():
-    cfg = ScenarioConfig(scenario=1, n_subjects=20_000, beta_c=0.0, beta1=0.0)
+    # without an effect a gap's hazard is BASELINE_RATE exp(BETA1 x), so the
+    # gap scaled by it is a unit exponential
+    cfg = ScenarioConfig(scenario=1, n_subjects=20_000, beta_c=0.0)
     ds = gen_dataset(cfg, RngStream(14))
-    for col in ("w1", "w2"):
-        p = stats.kstest(ds[col], "expon").pvalue
-        assert p > 0.001, f"{col} KS p={p}"
+    for w, x in (("w1", "x1"), ("w2", "x2")):
+        p = stats.kstest(ds[w] * BASELINE_RATE * np.exp(BETA1 * ds[x]), "expon").pvalue
+        assert p > 0.001, f"{w} KS p={p}"
 
 
 def test_first_event_identical_across_scenarios():
@@ -219,21 +222,20 @@ def test_csv_roundtrip(tmp_path, monkeypatch):
 
 
 # sha256 of gen_dataset(...).tobytes() for a config away from the defaults
-# the writer digests use: 50% prevalence, a baseline rate and drift sd
-# other than 1 and 4, a nonzero effect and censoring at tau = 0.5; one per
-# numpy dispatch target of log and exp (see conftest)
+# the writer digests use: 50% prevalence, a nonzero effect and censoring at
+# tau = 0.5; one per numpy dispatch target of log and exp (see conftest)
 NON_DEFAULT_DIGESTS = {
     1: {
-        "X86_V4": "1a56a0e2c6aec638f871b8410db1cefe9bd1aa2a77ddbe9208ba6a1274a94d89",
-        "X86_V3": "8169bcb142e8d39a505261a5a7fd38d14da7fd0fb8057c542ce7bccc8ac5e46c",
+        "X86_V4": "84c4467128d80d4afad4cdccfaa7d432c27d8d2ddef9da74d67a1d6f92243c5a",
+        "X86_V3": "a062af358573dccb362eb028243d3be161aeacecfa7ab75fe12a0d53e1a0449a",
     },
     2: {
-        "X86_V4": "f49f24b73ae51de6a83eaaa25b124a4fc812fd9540d44992c427c0815927eb08",
-        "X86_V3": "e5e8cf1956b7b067349ec9a3f92c43031cf342b0fd3ac0e2ff2abfe666b8c624",
+        "X86_V4": "357bc07e73e0cb37a792e8db215b687745af90672336ec912256b2ac29c6de6f",
+        "X86_V3": "e8718cf27d99b9e1b8df012fe1255bcb345a3e3572a0cd12ed2ef25df08fb728",
     },
     3: {
-        "X86_V4": "a7816bfb0afdb01de9f9b1c613ab45e63b1708d8213f3f77a1be381848f26d30",
-        "X86_V3": "e6db04d0eec3f412b2848a0c49f7f9356193006cf3840c10a1d54f6c1490dd5e",
+        "X86_V4": "187a3946352ffdcc82bb9f4cfc36170cd5acb3d82b5fd3d7d905ce0f24f7bf43",
+        "X86_V3": "8278ace7c79cd22d1e92ecf5cccf4c6714d11b102a39b49d5fb57904251eec58",
     },
 }
 
@@ -241,16 +243,16 @@ NON_DEFAULT_DIGESTS = {
 # the last one partial
 MULTI_BLOCK_DIGESTS = {
     1: {
-        "X86_V4": "323b139836fdc9f709293cd3c34abe4d42adbe0ea358e8f630aa04ec80b3c20b",
-        "X86_V3": "e3a7bc4b0563a1f63d110b77b867a5198adcde19e3c20899678dc41702600def",
+        "X86_V4": "3f00eff1bd792980f6670ff73618bbc5e50138b3f9e569ab220ecb8870761615",
+        "X86_V3": "58f23e361065e992557eff617eb19ea0d59411e3a6816ccc0966b65dcfb3f434",
     },
     2: {
-        "X86_V4": "e8a0835158f7de5222aa5338c7eab0c23903b8e760abfcb976f916b36995282b",
-        "X86_V3": "106c2e89e5a079a367bc124ddaf5e63a0fa65af0460b2706780a322e8478ac07",
+        "X86_V4": "d74f6cb867729b2be30bb2fe9291f192a57cc2eede2d1921b898937213c4fd61",
+        "X86_V3": "0b87a218d06f35e91bf078ec55d6a26dba1134b0c40812b382880af8a70399f0",
     },
     3: {
-        "X86_V4": "fee88296538a790884aa4340ea1da26122d0bf45acbb8a60abc971f8a37c0849",
-        "X86_V3": "a7264094c028e47ceb5bd8fe664c5282055ab2e6c413f891494e3c119c27ce03",
+        "X86_V4": "b884b8d88500b4bdeae9f19c090c3235824ddb40ce755d66427b9cea9a1ef228",
+        "X86_V3": "456dee187a90c2ca56ba623c12de124d13c230c6e8ad75a501873a849d3f6b8a",
     },
 }
 
@@ -258,31 +260,22 @@ MULTI_BLOCK_DIGESTS = {
 # the oracle ignores the gammas and tau, so scenarios 2 and 3 agree
 POTENTIAL_OUTCOME_DIGESTS = {
     1: {
-        "X86_V4": "c0c613032f10e0f89ce5bab76d0b9f301dbf87023fa76e50b6b42c2fbca119e3",
-        "X86_V3": "efff7b3f38bec880d41ca3cfe6ee66d1ef5fbeabcc68915b21e48076cd36e5c5",
+        "X86_V4": "92cae980aaca0894266e694ba7a9cd40a0ea5d577f11a9ce7931500476a2d4d2",
+        "X86_V3": "bb98b20ae20adfef8159f9582495b03ec08e703e33741484fe42f0c88b4edcad",
     },
     2: {
-        "X86_V4": "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
-        "X86_V3": "c9a4f3be3a049efb5bd7f6c06550d57ef2779c4baec9b0043c76be7425649392",
+        "X86_V4": "c890b6276f1d48f3297b6508868a5d69bcddc7ff1d790dae9fba2de9f7d273db",
+        "X86_V3": "bb5bc82bb04cca0db69df681f07633797e9fd73fa73f9ddf64153537f9beb6b3",
     },
     3: {
-        "X86_V4": "383b01e8d8d6d00035b21030245e32377b2695e689a5d66ff19892a2f1413bcd",
-        "X86_V3": "c9a4f3be3a049efb5bd7f6c06550d57ef2779c4baec9b0043c76be7425649392",
+        "X86_V4": "c890b6276f1d48f3297b6508868a5d69bcddc7ff1d790dae9fba2de9f7d273db",
+        "X86_V3": "bb5bc82bb04cca0db69df681f07633797e9fd73fa73f9ddf64153537f9beb6b3",
     },
 }
 
 
 def non_default_config(scenario, n_subjects=5_000):
-    return ScenarioConfig(
-        scenario=scenario,
-        n_subjects=n_subjects,
-        alpha0=ALPHA0_BY_PREVALENCE[0.5],
-        gamma0=GAMMA0_BY_PREVALENCE[0.5],
-        beta_c=0.46,
-        baseline_rate=2.5,
-        drift_sd=2.0,
-        tau=0.5,
-    )
+    return config_for(scenario, 0.5, n_subjects, beta_c=0.46, tau=0.5)
 
 
 @pytest.mark.parametrize("scenario", sorted(NON_DEFAULT_DIGESTS))
@@ -432,7 +425,7 @@ def test_dataset_draw_order(scenario):
     u1[11] = fresh.random(1)[0]
     u2 = fresh.random(n)
     if scenario != 1:
-        v = fresh.normal(0.0, cfg.drift_sd, n)
+        v = fresh.normal(0.0, DRIFT_SD, n)
     if scenario == 3:
         fresh.random(n)
     assert stream.bit_generator.state == fresh.bit_generator.state
@@ -441,7 +434,7 @@ def test_dataset_draw_order(scenario):
     assert np.array_equal(ds["x1"], x1)
     assert np.array_equal(ds["x2"], x1 if scenario == 1 else x1 + v)
     for w, x, z, u in (("w1", "x1", "z1", u1), ("w2", "x2", "z2", u2)):
-        hazard = cfg.baseline_rate * np.exp(cfg.beta_c * ds[z] + cfg.beta1 * ds[x])
+        hazard = BASELINE_RATE * np.exp(cfg.beta_c * ds[z] + BETA1 * ds[x])
         assert np.allclose(np.exp(-ds[w] * hazard), u, rtol=1e-12, atol=0)
 
 
@@ -466,12 +459,14 @@ def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
     u1 = fresh.random(n)
     u1[130] = fresh.random(1)[0]
     u2 = fresh.random(n)
-    x2 = x1 if scenario == 1 else x1 + fresh.normal(0.0, cfg.drift_sd, n)
-    z1 = (t1 < expit(cfg.alpha0 + cfg.alpha1 * x1)).astype(np.uint8)
+    x2 = x1 if scenario == 1 else x1 + fresh.normal(0.0, DRIFT_SD, n)
+    alpha0 = ALPHA0_BY_PREVALENCE[cfg.prevalence]
+    gamma0 = GAMMA0_BY_PREVALENCE[cfg.prevalence]
+    z1 = (t1 < expit(alpha0 + ALPHA1 * x1)).astype(np.uint8)
     z2 = z1
     if scenario == 3:
         t2 = fresh.random(n)
-        z2 = (t2 < expit(cfg.gamma0 + cfg.gamma1 * x2 + cfg.gamma2 * z1)).astype(np.uint8)
+        z2 = (t2 < expit(gamma0 + GAMMA1 * x2 + GAMMA2 * z1)).astype(np.uint8)
     assert stream.bit_generator.state == fresh.bit_generator.state
 
     # z1 at a redrawn row is set from the redrawn uniform: 1 at row 70 and
@@ -479,8 +474,8 @@ def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
     redrawn = [70, 100]
     assert z1[redrawn].tolist() == [1, 0]
     assert np.array_equal(ds["z1"][redrawn], z1[redrawn])
-    w1 = gen_gap_time(u1, cfg.beta1 * x1 + cfg.beta_c * z1, cfg.baseline_rate)
-    w2 = gen_gap_time(u2, cfg.beta1 * x2 + cfg.beta_c * z2, cfg.baseline_rate)
+    w1 = gen_gap_time(u1, BETA1 * x1 + cfg.beta_c * z1, BASELINE_RATE)
+    w2 = gen_gap_time(u2, BETA1 * x2 + cfg.beta_c * z2, BASELINE_RATE)
     expected = {"x1": x1, "x2": x2, "z1": z1, "z2": z2, "w1": w1, "w2": w2,
                 "delta1": w1 <= cfg.tau, "delta2": w1 + w2 <= cfg.tau}
     for name in SUBJECT_DTYPE.names:
