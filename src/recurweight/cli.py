@@ -259,13 +259,14 @@ def _output(path):
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _render(rows, output_format, path, manifest, columns, md_header, md_cells,
-            notes=(), footnote=None):
-    """Write rows as CSV (the given columns), markdown or JSON (every key).
+def _render(rows, manifest, columns, md_header, md_cells, notes=(), footnote=None):
+    """Write rows as CSV (the given columns), markdown or JSON (every key),
+    in the manifest's output_format to its output_path.
 
     CSV puts the notes under the manifest as `#` lines; markdown puts
     the footnote under the table; JSON prints non-finite floats as null.
     """
+    output_format = manifest.output_format
     if output_format == "csv":
         lines = _manifest_lines(manifest, "#")
         lines.extend(f"# {note}" for note in notes)
@@ -294,7 +295,7 @@ def _render(rows, output_format, path, manifest, columns, md_header, md_cells,
         lines = [json.dumps(payload, indent=2)]
     else:
         raise ValueError(f"unknown format {output_format!r}")
-    with _output(path) as fh:
+    with _output(manifest.output_path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -311,7 +312,7 @@ def _summary_md_cells(r):
     ]
 
 
-def emit_table(rows, output_format, path, manifest):
+def emit_table(rows, manifest):
     """Write summary rows in the pinned schema; see module docstring."""
     if not rows:
         raise ValueError("no rows to emit")
@@ -325,14 +326,14 @@ def emit_table(rows, output_format, path, manifest):
         footnote = "\\* absolute log-HR bias (null true effect)"
     header = ["Event", "True log HR", "True HR", "Est log HR", "Est HR",
               "Bias", "ASE", "ESE", "RSE"]
-    _render(rows, output_format, path, manifest, SUMMARY_COLUMNS,
-            header, _summary_md_cells, notes, footnote)
+    _render(rows, manifest, SUMMARY_COLUMNS, header, _summary_md_cells, notes, footnote)
 
 
-def emit_calibration(entries, target_hrs, output_format, path, manifest):
-    """Five-column mapping table; hr1 is the requested target verbatim."""
+def emit_calibration(entries, manifest):
+    """Five-column mapping table, one row per manifest target; hr1 is the
+    requested target verbatim."""
     rows = []
-    for hr, entry in zip(target_hrs, entries):
+    for hr, entry in zip(manifest.target_hrs, entries):
         rows.append({
             "beta_m1": entry.beta_m1,
             "hr1": hr,
@@ -345,7 +346,7 @@ def emit_calibration(entries, target_hrs, output_format, path, manifest):
     header = ["True log marginal HR", "True HR", "True log conditional HR",
               "True log marginal HR (event 2)", "True HR (event 2)"]
     _render(
-        rows, output_format, path, manifest, CALIBRATION_COLUMNS, header,
+        rows, manifest, CALIBRATION_COLUMNS, header,
         lambda r: [_fmt(r["beta_m1"]), f"{r['hr1']:g}", _fmt(r["beta_c"]),
                    _fmt(r["beta_m2"]), _fmt(r["hr2"])],
     )
@@ -363,13 +364,7 @@ def _cmd_calibrate(manifest):
         calibrate_beta_c(float(np.log(hr))) for hr in manifest.target_hrs
     )
     manifest.beta_c_values = tuple(e.beta_c for e in entries)
-    emit_calibration(
-        entries,
-        manifest.target_hrs,
-        manifest.output_format,
-        manifest.output_path,
-        manifest,
-    )
+    emit_calibration(entries, manifest)
     return 0
 
 
@@ -403,7 +398,7 @@ def _cmd_simulate(manifest):
                 "bias_is_absolute": summary.bias_is_absolute,
                 "ese_centered": summary.ese_centered,
             })
-    emit_table(rows, manifest.output_format, manifest.output_path, manifest)
+    emit_table(rows, manifest)
     return 0
 
 

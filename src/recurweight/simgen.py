@@ -20,7 +20,10 @@ Draw order is fixed (x1, treatment uniform, u1, u2, drift, second
 treatment uniform) so that the first-event columns are identical across
 scenarios under the same stream. One draw stage makes these draws for
 both the cohort and the potential outcomes, so the two share x1, x2,
-u1 and u2 by construction.
+u1 and u2 by construction. Each column is drawn in blocks, and a
+uniform's exact zeros are redrawn right after their block, so a block's
+values depend only on the stream state at its start: gen_blocks replays
+a block from that state alone.
 """
 
 import enum
@@ -110,13 +113,13 @@ ORACLE_DTYPE = np.dtype(
 )
 
 
-def gen_gap_time(u, linear_predictor, rate=1.0):
-    """Inverse-transform exponential gap time, -log(u) / (rate e^lp).
+def gen_gap_time(u, linear_predictor):
+    """Inverse-transform exponential gap time, -log(u) / (BASELINE_RATE e^lp).
 
     Accepts scalars or arrays and writes neither argument, so u may be
     read where it lies, e.g. in a cohort field.
     """
-    return -np.log(u) / (np.exp(linear_predictor) * rate)
+    return -np.log(u) / (np.exp(linear_predictor) * BASELINE_RATE)
 
 
 # rows per block of the draw stage, of the derived columns and of the cohort
@@ -130,7 +133,10 @@ def _drawn(records, draws):
 
 
 def _block_draws(stream, size, sd):
-    return stream.random(size) if sd is None else stream.normal(0.0, sd, size)
+    if sd is not None:
+        return stream.normal(0.0, sd, size)
+    u = stream.random(size)  # exact zeros are redrawn right after the block
+    return u if u.all() else redraw_zeros(stream, u)
 
 
 def _columns(config):
@@ -159,37 +165,29 @@ def _draw(config, stream, ds):
     """The draw stage both generators share. It draws every column of the
     cohort's n rows, block by block, and fills ds, the first len(ds) rows:
     the w fields hold u1 and u2, and z2 (unless assigned), the gap times
-    and the delta fields are not yet set. Consecutive blocks continue the
-    stream, so the values are those of one whole-column draw. A uniform's
-    exact zeros are redrawn after the column, in row order (redraw_zeros),
-    so each u lies in (0, 1).
+    and the delta fields are not yet set. A uniform block's exact zeros
+    are redrawn right after that block (_block_draws), so each u lies in
+    (0, 1) and each block's values depend only on the stream state at its
+    start. Consecutive blocks continue the stream, so without an exact
+    zero the values are those of one whole-column draw at any block size;
+    a zero takes the draw after its own block, not after the column.
 
-    For each column, in draw order, returns what rebuilds its rows past
-    ds: the stream state at the start of each later block, and the rows
-    and values of that column's zero redraws there (None without a
-    zero). The states are empty when ds holds every row.
+    For each column, in draw order, returns the stream state at the start
+    of each block past ds, from which those rows are drawn again: empty
+    when ds holds every row.
     """
     n, held = config.n_subjects, len(ds)
     plan = []
     for name, value, sd in _columns(config):
-        states, zeros = [], []
+        states = []
         for start in range(0, n, GEN_BLOCK_ROWS):
             if start >= held:
                 states.append(stream.bit_generator.state)
             v = _block_draws(stream, min(GEN_BLOCK_ROWS, n - start), sd)
-            if sd is None and not v.all():
-                zeros.append(start + np.flatnonzero(v == 0.0))
             if start < held:
                 b = ds[start:start + GEN_BLOCK_ROWS]
                 b[name] = value(b, v)
-        redraws = None
-        if zeros:
-            at = np.concatenate(zeros)
-            u = redraw_zeros(stream, np.zeros(at.size))
-            mine = at < held
-            ds[name][at[mine]] = value(ds[at[mine]], u[mine])
-            redraws = at[~mine], u[~mine]
-        plan.append((states, redraws))
+        plan.append(states)
     return plan
 
 
@@ -203,7 +201,7 @@ def _derive(config, b):
     if c.scenario is not Scenario.TVTreatmentCovariates:
         b["z2"] = b["z1"]
     for w, x, z in (("w1", "x1", "z1"), ("w2", "x2", "z2")):
-        b[w] = gen_gap_time(b[w], BETA1 * b[x] + c.beta_c * b[z], BASELINE_RATE)
+        b[w] = gen_gap_time(b[w], BETA1 * b[x] + c.beta_c * b[z])
     if c.tau is None:
         b["delta1"] = b["delta2"] = 1
     else:
@@ -235,9 +233,9 @@ def gen_blocks(config, stream):
     The first next() runs the draw stage over every row with room for the
     first block, which leaves the stream where gen_dataset leaves it and
     records, per later block and column, the stream state at the block's
-    start and that column's zero redraws. Each later block is then drawn
-    again from its recorded states by a private PCG64 generator, and the
-    recorded redraws go to its rows, so every byte matches gen_dataset's.
+    start. A block's draws, zero redraws included, depend only on that
+    state, so a private PCG64 generator set to it draws each later block
+    again, and every byte matches gen_dataset's.
     Every block is the same reused buffer: a caller that keeps a block past
     the next one must copy it.
     """
@@ -248,14 +246,9 @@ def gen_blocks(config, stream):
     replay = np.random.Generator(np.random.PCG64())
     for k, start in enumerate(range(len(block), c.n_subjects, GEN_BLOCK_ROWS)):
         b = block[:min(GEN_BLOCK_ROWS, c.n_subjects - start)]
-        for (name, value, sd), (states, redraws) in zip(_columns(c), plan):
+        for (name, value, sd), states in zip(_columns(c), plan):
             replay.bit_generator.state = states[k]
             b[name] = value(b, _block_draws(replay, len(b), sd))
-            if redraws is not None:
-                rows, u = redraws
-                lo, hi = np.searchsorted(rows, (start, start + len(b)))
-                at = rows[lo:hi] - start
-                b[name][at] = value(b[at], u[lo:hi])
         yield _derive(c, b)
 
 
@@ -279,8 +272,8 @@ def gen_potential_outcomes(config, stream):
     out["x1"], out["x2"] = ds["x1"], ds["x2"]
     for w, x in (("w1", "x1"), ("w2", "x2")):
         lp = BETA1 * ds[x]
-        out[f"{w}_treated"] = gen_gap_time(ds[w], lp + c.beta_c, BASELINE_RATE)
-        out[f"{w}_control"] = gen_gap_time(ds[w], lp, BASELINE_RATE)
+        out[f"{w}_treated"] = gen_gap_time(ds[w], lp + c.beta_c)
+        out[f"{w}_control"] = gen_gap_time(ds[w], lp)
     return out
 
 
@@ -477,24 +470,21 @@ def _fill_float(buf, mask, v):
     mask[at] = np.arange(_FLOAT_SLOTS) < np.array([len(t) for t in texts])[:, None]
 
 
-def write_dataset_csv(cohort, fh):
+def write_dataset_csv(blocks, fh):
     """Write a cohort in the interchange layout to an open text handle.
 
-    The cohort is a structured array of subject records, taken as one
-    block, or an iterable of such blocks (as gen_blocks yields), written
-    one after another. Floats are written as repr writes them (shortest
-    round-trip digits, positional in [1e-4, 1e16)), so the file parses
-    back to the same bits; indicators and treatments are written as 0/1.
-    Each chunk of CSV_CHUNK_ROWS rows of a block copies its four float
-    columns into one buffer, one numpy kernel call computes their digits
-    and one fill writes them through a strided view of the chunk's slots
-    x rows byte matrix and selection mask; a value the kernel cannot
-    certify (zero, outside [1e-4, 1e4), a near tie) is written by repr.
-    The separators are written once, and each chunk is compacted in row
-    order into one write.
+    The cohort comes as an iterable of blocks, structured arrays of subject
+    records (as gen_blocks yields, or (ds,) for a whole cohort), written one
+    after another. Floats are written as repr writes them (shortest
+    round-trip digits, positional in [1e-4, 1e16)), so the file parses back
+    to the same bits; indicators and treatments are written as 0/1. Each
+    chunk of CSV_CHUNK_ROWS rows of a block copies its four float columns
+    into one buffer, one numpy kernel call computes their digits and one
+    fill writes them through a strided view of the chunk's slots x rows byte
+    matrix and selection mask; a value the kernel cannot certify (zero,
+    outside [1e-4, 1e4), a near tie) is written by repr. The separators are
+    written once, and each chunk is compacted in row order into one write.
     """
-    if isinstance(cohort, np.ndarray):
-        cohort = (cohort,)
     fh.write(DATASET_CSV_HEADER + "\n")
     rows = CSV_CHUNK_ROWS
     buf = np.empty((_ROW_SLOTS, rows), dtype=np.uint8)
@@ -508,7 +498,7 @@ def write_dataset_csv(cohort, fh):
     fields, field_mask = (np.lib.stride_tricks.as_strided(a, shape, strides)
                           for a in (buf, mask))
     values = np.empty(4 * rows)
-    for block in cohort:
+    for block in blocks:
         for start in range(0, len(block), rows):
             part = block[start:start + rows]
             n = len(part)

@@ -357,17 +357,20 @@ def test_calibrate_manifest_lists_what_governs_the_solve(tmp_path):
     }
     entry = lookup_calibration(2.0)
     out = tmp_path / "cal.json"
-    emit_calibration([entry], (2.0,), "json", str(out), m)
+    m.output_format, m.output_path = "json", str(out)
+    emit_calibration([entry], m)
     manifest = json.loads(out.read_text())["manifest"]
     assert list(manifest) == list(want)
-    assert manifest == want
+    assert manifest == {**want, "output_format": "json", "output_path": str(out)}
     for fmt, mark in (("csv", "#"), ("md", ">")):
         out = tmp_path / f"cal.{fmt}"
-        emit_calibration([entry], (2.0,), fmt, str(out), m)
+        m.output_format, m.output_path = fmt, str(out)
+        emit_calibration([entry], m)
         keys = [line[2:].split(":")[0] for line in out.read_text().splitlines()
                 if line.startswith(f"{mark} ") and ": " in line]
         assert keys == list(want)
         assert f"{mark} scenario: 3" in out.read_text()
+        assert f"{mark} output_format: {fmt}" in out.read_text()
 
 
 def test_calibrate_md_hr_rendering(tmp_path):
@@ -423,14 +426,15 @@ def test_emit_table_json_roundtrip(tmp_path):
     }]
     out = tmp_path / "r.json"
     manifest = parse_args(
-        "simulate --scenario tv-covariates --target-hr 1.5".split()
+        f"simulate --scenario tv-covariates --target-hr 1.5 --format json --out {out}".split()
     )
-    emit_table(rows, "json", str(out), manifest)
+    emit_table(rows, manifest)
     assert json.loads(out.read_text())["rows"] == rows
     with pytest.raises(ValueError):
-        emit_table(rows, "xml", str(out), manifest)
+        emit_table([], manifest)
+    manifest.output_format = "xml"
     with pytest.raises(ValueError):
-        emit_table([], "csv", str(out), manifest)
+        emit_table(rows, manifest)
 
 
 def test_help_exits_zero(capsys):
@@ -438,8 +442,8 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-# hand-written rows; the golden files hold the bytes each emitter wrote
-# for them before the emitters shared one renderer
+# hand-written rows; the golden files hold the bytes each emitter writes
+# to stdout for them in each format, which its manifest names
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -457,10 +461,10 @@ def _summary_row(event, log_hrs, hrs, bias_pct, absolute, **extra):
     return row
 
 
-def _emit_summary_null(fmt, path):
+def _emit_summary_null(fmt):
     manifest = parse_args(
         "simulate --scenario tv-covariates --target-hr 1,1.5 --n 600 "
-        "--reps 20 --seed 5".split()
+        f"--reps 20 --seed 5 --format {fmt}".split()
     )
     manifest.beta_c_values = (0.0, 0.4599)
     rows = [
@@ -469,13 +473,13 @@ def _emit_summary_null(fmt, path):
         _summary_row(1, (0.4055, 0.41), (1.5, 1.5068), 1.1097, False),
         _summary_row(2, (0.2085, 0.2), (1.2318, 1.2214), -4.0767, False),
     ]
-    emit_table(rows, fmt, path, manifest)
+    emit_table(rows, manifest)
 
 
-def _emit_summary(fmt, path):
+def _emit_summary(fmt):
     manifest = parse_args(
         "simulate --scenario tv-treatment --tau 0.5 --prevalence 0.5 "
-        "--target-hr 2 --n 800 --reps 10 --seed 11".split()
+        f"--target-hr 2 --n 800 --reps 10 --seed 11 --format {fmt}".split()
     )
     manifest.beta_c_values = (0.783,)
     common = {"scenario": 3, "prevalence": 0.5, "tau": 0.5, "n": 800,
@@ -485,14 +489,14 @@ def _emit_summary(fmt, path):
         _summary_row(2, (0.3551, 0.3333), (1.4263, 1.3955), -6.139, False,
                      rse=float("nan"), ese=float("inf"), **common),
     ]
-    emit_table(rows, fmt, path, manifest)
+    emit_table(rows, manifest)
 
 
-def _emit_calibration(fmt, path):
-    manifest = parse_args("calibrate --targets 1,1.5,2".split())
+def _emit_calibration(fmt):
+    manifest = parse_args(f"calibrate --targets 1,1.5,2 --format {fmt}".split())
     entries = [lookup_calibration(hr) for hr in manifest.target_hrs]
     manifest.beta_c_values = tuple(e.beta_c for e in entries)
-    emit_calibration(entries, manifest.target_hrs, fmt, path, manifest)
+    emit_calibration(entries, manifest)
 
 
 LAYOUTS = {
@@ -504,14 +508,14 @@ LAYOUTS = {
 
 @pytest.mark.parametrize("fmt", ["csv", "md", "json"])
 @pytest.mark.parametrize("case", sorted(LAYOUTS))
-def test_emitted_layout_is_pinned(case, fmt, tmp_path):
-    out = tmp_path / f"{case}.{fmt}"
-    LAYOUTS[case](fmt, str(out))
-    assert out.read_bytes() == (GOLDEN / f"{case}.{fmt}").read_bytes()
+def test_emitted_layout_is_pinned(case, fmt, capsys):
+    LAYOUTS[case](fmt)
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 
 def test_emit_calibration_rejects_unknown_format(tmp_path):
-    m = parse_args("calibrate --targets 2".split())
+    m = parse_args(f"calibrate --targets 2 --out {tmp_path / 'cal.xml'}".split())
+    m.output_format = "xml"
     with pytest.raises(ValueError):
-        emit_calibration([lookup_calibration(2.0)], (2.0,), "xml",
-                         str(tmp_path / "cal.xml"), m)
+        emit_calibration([lookup_calibration(2.0)], m)

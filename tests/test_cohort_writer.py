@@ -124,7 +124,7 @@ def cohort_from(floats, flags):
 def assert_writes_like_the_reference(values, flags=(0, 1, 1)):
     values = np.resize(np.asarray(values, dtype=float), -(-len(values) // 4) * 4)
     ds = cohort_from(values, flags)
-    got = written(write_dataset_csv, ds).splitlines()
+    got = written(write_dataset_csv, (ds,)).splitlines()
     want = written(reference_write_dataset_csv, ds).splitlines()
     assert len(got) == len(want)
     bad = [(g, w) for g, w in zip(got, want) if g != w]
@@ -243,7 +243,7 @@ def writer_peak_bytes(n):
     ds = gen_dataset(config_for(3, 0.25, n, beta_c=0.783), RngStream(7))
     tracemalloc.start()
     try:
-        write_dataset_csv(ds, NullHandle())
+        write_dataset_csv((ds,), NullHandle())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,5 +282,5 @@ def test_chunked_dump_equals_the_reference_on_a_cohort(monkeypatch):
     # 1,000 rows are not a multiple of the 96-row chunks
     monkeypatch.setattr(simgen, "CSV_CHUNK_ROWS", 96)
     ds = gen_dataset(config_for(2, 0.5, 1_000, beta_c=0.46, tau=0.5), RngStream(11))
-    assert written(write_dataset_csv, ds) == written(reference_write_dataset_csv, ds)
-    assert written(write_dataset_csv, ds[:0]) == DATASET_CSV_HEADER + "\n"
+    assert written(write_dataset_csv, (ds,)) == written(reference_write_dataset_csv, ds)
+    assert written(write_dataset_csv, (ds[:0],)) == DATASET_CSV_HEADER + "\n"

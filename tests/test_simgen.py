@@ -39,18 +39,18 @@ from recurweight.statcore import RngStream, expit, redraw_zeros
 
 
 def test_gap_time_unit():
-    assert gen_gap_time(math.exp(-1.0), 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert gen_gap_time(math.exp(-1.0), 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gap_time_hazard_doubling():
-    assert gen_gap_time(math.exp(-1.0), math.log(2.0), 1.0) == pytest.approx(
+    assert gen_gap_time(math.exp(-1.0), math.log(2.0)) == pytest.approx(
         0.5, abs=1e-15
     )
 
 
 def test_gap_time_exponential_mean():
     u = RngStream(404).random(1_000_000)
-    times = gen_gap_time(u, 0.0, 1.0)
+    times = gen_gap_time(u, 0.0)
     assert 0.997 < times.mean() < 1.003
 
 
@@ -205,7 +205,7 @@ def test_csv_roundtrip(tmp_path, monkeypatch):
     ds = gen_dataset(cfg, RngStream(24))
     path = tmp_path / "cohort.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        write_dataset_csv(ds, fh)
+        write_dataset_csv((ds,), fh)
     lines = path.read_text().splitlines()
     assert lines[0] == DATASET_CSV_HEADER
     # the row-by-row layout the column-wise writer must reproduce
@@ -438,48 +438,96 @@ def test_dataset_draw_order(scenario):
         assert np.allclose(np.exp(-ds[w] * hazard), u, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("scenario", [1, 2, 3])
-def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
-    # 200 rows are three 64-row blocks and a partial one. The zeros sit in
-    # the second block of the treatment uniform (positions 0 to n - 1) and
-    # of u1; each column's zeros are redrawn after the whole column, in
-    # row order, and the first redraw of row 100 (position n + 1) is a
-    # zero again, so u1 starts at n + 3
-    monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
-    n = 200
-    cfg = non_default_config(scenario, n)
-    stream = ZeroingGenerator(RngStream(50), [70, 100, n + 1, n + 3 + 130])
-    ds = gen_dataset(cfg, stream)
+def stream_with_zero_at(k):
+    """A real stream whose k-th uniform (counting from 0) is exactly 0.0.
+    PCG64's XSL-RR output is the rotated xor of its 128-bit state's two
+    halves, so a state with equal halves outputs 0, which random() maps
+    to 0.0; the stream starts k + 1 steps before that state."""
+    stream = RngStream(57)
+    state = stream.bit_generator.state
+    half = 0x243F_6A88_85A3_08D3
+    state["state"]["state"] = (half << 64) | half
+    stream.bit_generator.state = state
+    stream.bit_generator.advance(2**128 - (k + 1))
+    return stream
 
-    fresh = RngStream(50)
-    x1 = fresh.normal(0.0, 1.0, n)
-    t1 = fresh.random(n)
-    t1[70] = fresh.random(2)[0]
-    t1[100] = fresh.random(1)[0]
-    u1 = fresh.random(n)
-    u1[130] = fresh.random(1)[0]
-    u2 = fresh.random(n)
-    x2 = x1 if scenario == 1 else x1 + fresh.normal(0.0, DRIFT_SD, n)
+
+def column_draws(cfg, stream, zero=None):
+    """The draw stage's columns in draw order: x1, the treatment uniform
+    t1, u1, u2, then the drift v and the second treatment uniform t2 as
+    the scenario has them. Without zero each is one whole-column draw.
+    With zero = (column, row), that column is drawn up to the end of the
+    row's block, the row's exact zero takes the next draw, and the rest
+    of the column follows."""
+    n, rows = cfg.n_subjects, simgen.GEN_BLOCK_ROWS
+
+    def uniform(name):
+        if zero is None or zero[0] != name:
+            return stream.random(n)
+        row = zero[1]
+        end = min(n, (row // rows + 1) * rows)
+        u = stream.random(end)
+        assert u[row] == 0.0
+        u[row] = stream.random()
+        return np.append(u, stream.random(n - end))
+
+    draws = {"x1": stream.normal(0.0, 1.0, n)}
+    for name in ("t1", "u1", "u2"):
+        draws[name] = uniform(name)
+    if cfg.scenario != 1:
+        draws["v"] = stream.normal(0.0, DRIFT_SD, n)
+    if cfg.scenario == 3:
+        draws["t2"] = uniform("t2")
+    return draws
+
+
+def zero_draw_index(cfg, column, row):
+    """The k for which stream_with_zero_at(k) draws its zero at `row` of
+    the uniform `column`. k starts at the count of values drawn before
+    that row; a ziggurat normal now and then takes an extra draw, so
+    later k are tried until a whole-column replay puts the zero there."""
+    names = list(column_draws(cfg, RngStream(0)))
+    first = names.index(column) * cfg.n_subjects + row
+    for k in range(first, first + 64):
+        draws = column_draws(cfg, stream_with_zero_at(k))
+        if np.flatnonzero(draws[column] == 0.0).tolist() == [row]:
+            return k
+    raise AssertionError(f"no stream puts the zero at {column}[{row}]")
+
+
+def expected_cohort(cfg, draws):
+    """The cohort the formulas give from the draw stage's columns."""
+    x1 = draws["x1"]
+    x2 = x1 + draws["v"] if "v" in draws else x1
     alpha0 = ALPHA0_BY_PREVALENCE[cfg.prevalence]
     gamma0 = GAMMA0_BY_PREVALENCE[cfg.prevalence]
-    z1 = (t1 < expit(alpha0 + ALPHA1 * x1)).astype(np.uint8)
+    z1 = (draws["t1"] < expit(alpha0 + ALPHA1 * x1)).astype(np.uint8)
     z2 = z1
-    if scenario == 3:
-        t2 = fresh.random(n)
-        z2 = (t2 < expit(gamma0 + GAMMA1 * x2 + GAMMA2 * z1)).astype(np.uint8)
-    assert stream.bit_generator.state == fresh.bit_generator.state
+    if "t2" in draws:
+        z2 = (draws["t2"] < expit(gamma0 + GAMMA1 * x2 + GAMMA2 * z1)).astype(np.uint8)
+    w1 = gen_gap_time(draws["u1"], BETA1 * x1 + cfg.beta_c * z1)
+    w2 = gen_gap_time(draws["u2"], BETA1 * x2 + cfg.beta_c * z2)
+    return {"x1": x1, "x2": x2, "z1": z1, "z2": z2, "w1": w1, "w2": w2,
+            "delta1": w1 <= cfg.tau, "delta2": w1 + w2 <= cfg.tau}
 
-    # z1 at a redrawn row is set from the redrawn uniform: 1 at row 70 and
-    # 0 at row 100, where the zero itself would set 1 at both
-    redrawn = [70, 100]
-    assert z1[redrawn].tolist() == [1, 0]
-    assert np.array_equal(ds["z1"][redrawn], z1[redrawn])
-    w1 = gen_gap_time(u1, BETA1 * x1 + cfg.beta_c * z1, BASELINE_RATE)
-    w2 = gen_gap_time(u2, BETA1 * x2 + cfg.beta_c * z2, BASELINE_RATE)
-    expected = {"x1": x1, "x2": x2, "z1": z1, "z2": z2, "w1": w1, "w2": w2,
-                "delta1": w1 <= cfg.tau, "delta2": w1 + w2 <= cfg.tau}
-    for name in SUBJECT_DTYPE.names:
-        assert np.array_equal(ds[name], expected[name]), name
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_dataset_draw_order_across_blocks(scenario, monkeypatch):
+    # 200 rows are three 64-row blocks and a partial one. A real stream
+    # draws an exact zero in a later block: the treatment uniform's second
+    # block (row 70) or u1's third (row 130). The zero takes the value
+    # drawn right after its own block, before the column's next block
+    monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
+    cfg = non_default_config(scenario, 200)
+    for column, row in (("t1", 70), ("u1", 130)):
+        k = zero_draw_index(cfg, column, row)
+        stream, fresh = stream_with_zero_at(k), stream_with_zero_at(k)
+        ds = gen_dataset(cfg, stream)
+        expected = expected_cohort(cfg, column_draws(cfg, fresh, zero=(column, row)))
+        for name in SUBJECT_DTYPE.names:
+            assert np.array_equal(ds[name], expected[name]), (column, name)
+        assert np.isfinite(ds["w1"]).all()
+        assert stream.bit_generator.state == fresh.bit_generator.state
 
 
 def streamed_bytes(cfg, stream):
@@ -507,35 +555,31 @@ def test_streamed_blocks_equal_the_cohort(scenario, tau):
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_streamed_blocks_carry_the_zero_redraws(scenario, monkeypatch):
-    # 200 rows are three 64-row blocks and a partial one. Zeros sit in the
-    # held first block and in later ones: the treatment uniform at rows
-    # 10, 70 and 150 (positions 0 to n - 1), whose redraw for row 70
-    # (position n + 1) is a zero again; u1 at rows 130 and 199 (from
-    # n + 4); u2 at row 64 (from 2n + 6); in scenario 3 the second
-    # treatment uniform at row 190 (from 3n + 7). A later block's draws
-    # come from a private generator, which makes no zeros, so its rows are
-    # right only if the recorded redraws reach them
+    # 200 rows are three 64-row blocks and a partial one. Each uniform
+    # column draws an exact zero from a real stream, on its own stream, in
+    # the held first block (row 10) or in a later one (row 150). A later
+    # block is drawn again from its start state by a private generator,
+    # which must meet the same zero and redraw it the same way
     monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
-    n = 200
-    cfg = non_default_config(scenario, n)
-    positions = [10, 70, 150, n + 1, n + 4 + 130, n + 4 + 199, 2 * n + 6 + 64,
-                 3 * n + 7 + 190]
-    whole = ZeroingGenerator(RngStream(53), positions)
-    stream = ZeroingGenerator(RngStream(53), positions)
-    ds = gen_dataset(cfg, whole)
-    data, lengths = streamed_bytes(cfg, stream)
-    assert lengths == [64, 64, 64, 8]
-    assert data == ds.tobytes()
-    assert stream.drawn == whole.drawn
-    assert stream.bit_generator.state == whole.bit_generator.state
+    cfg = non_default_config(scenario, 200)
+    uniforms = ["t1", "u1", "u2"] + (["t2"] if scenario == 3 else [])
+    for column in uniforms:
+        for row in (10, 150):
+            k = zero_draw_index(cfg, column, row)
+            whole, stream = stream_with_zero_at(k), stream_with_zero_at(k)
+            ds = gen_dataset(cfg, whole)
+            data, lengths = streamed_bytes(cfg, stream)
+            assert lengths == [64, 64, 64, 8]
+            assert data == ds.tobytes(), (column, row)
+            assert stream.bit_generator.state == whole.bit_generator.state
 
 
 def test_gap_time_matches_the_plain_form_and_leaves_u():
     u = RngStream(44).random(100)
     lp = np.linspace(-1.0, 1.0, 100)
-    expected = -np.log(u) / (2.5 * np.exp(lp))
+    expected = -np.log(u) / (BASELINE_RATE * np.exp(lp))
     u_before, lp_before = u.copy(), lp.copy()
-    times = gen_gap_time(u, lp, 2.5)
+    times = gen_gap_time(u, lp)
     assert np.array_equal(times, expected)
     # neither argument is written
     assert np.array_equal(u, u_before)
