@@ -57,6 +57,9 @@ _LOG_TIME_HALF_WIDTH = 45.0
 # 2.4, AVX-512 Xeon), so lanes at or past the cap are left at 0, not
 # evaluated
 _EXP_ARG_CAP = 746.0
+# columns of the log-time grid per tile of _survival_terms; it must be
+# a multiple of 16 (the function's docstring says why)
+_TILE_COLUMNS = 256
 # |U| at which the limiting score counts as zero; U is in probability
 # units with slope -0.4 to -0.5 at the table's beta_c values, so the
 # root is good to about 3e-13
@@ -136,41 +139,65 @@ def _quadrature():
 
 
 @lru_cache(maxsize=2)
-def _scratch(n_rates, n_times):
-    """Work arrays of _survival_terms for one (rates, times) shape.
+def _scratch(n_rates):
+    """Work arrays of _survival_terms: one (n_rates, _TILE_COLUMNS) tile.
 
-    They are kept between calls, so a process faults in an oracle-sized
-    set (2.7 MB) once, not on every call after the allocator has
-    trimmed it.
+    They are kept between calls, so a process faults in a tile-sized
+    set (0.35 MB at 80 nodes) once, not on every call after the
+    allocator has trimmed it. A tile is narrow enough for its three
+    arrays to stay in L2 through the nine passes over them; a
+    full-width set (2.7 MB for 80 x 2,000) would stream through memory.
     """
-    shape = (n_rates, n_times)
+    shape = (n_rates, _TILE_COLUMNS)
     return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
 
 
 def _survival_terms(times, rates, weights):
     """S(t) and t f(t) of an exponential gap time whose rate is mixed.
 
-    rates[k] carries probability weights[k]; both results are sums
+    rates[k] > 0 carries probability weights[k]; both results are sums
     over the nodes at each time. They equal, bit for bit, the sums of
-    exp evaluated on every lane: numpy's exp gives a lane the same bits
-    whatever its neighbours are, exp(-u) is 0 past the cap, and a nan
-    lane still reaches exp.
+    exp evaluated on every lane of the full rate-by-time matrix:
+    numpy's exp gives a lane the same bits whatever its neighbours are,
+    exp(-u) is 0 past the cap, and a nan lane still reaches exp.
 
-    The rate-by-time products, live-lane mask and exp terms are written
-    into the scratch arrays of their shape, which every call reuses, so
+    The times are taken _TILE_COLUMNS at a time, and the node sums
+    `weights @ e` go through OpenBLAS's gemv, whose bits for a column
+    depend on where that column sits in the product. Tiles that start
+    and end on multiples of 16 columns gave every column the bits of
+    the full-width product under OpenBLAS's SkylakeX, Haswell and
+    Nehalem kernels; 250-wide tiles did not. So the width must stay a
+    multiple of 16. The last tile ends where the full product does.
+
+    A tile whose every lane is at or past the cap adds +0.0 to both
+    sums and is skipped. The skip also needs the tile's largest
+    product finite, so inf and nan lanes still go through exp and the
+    product (inf * 0 is nan). Nothing assumes the times are sorted.
+
+    The rate-by-time products, live-lane mask and exp terms of a tile
+    are written into the scratch arrays, which every call reuses, so
     the function is not re-entrant. That is safe because the package
     runs in parallel only across processes. Both results are fresh
     arrays.
     """
-    u, live, e = _scratch(len(rates), len(times))
-    np.multiply(rates[:, None], times, out=u)
-    np.greater_equal(u, _EXP_ARG_CAP, out=live)
-    np.logical_not(live, out=live)
-    e.fill(0.0)
-    np.negative(u, out=e, where=live)
-    np.exp(e, out=e, where=live)
-    u *= e
-    return weights @ e, weights @ u
+    s, tf = np.zeros(len(times)), np.zeros(len(times))
+    u_tile, live_tile, e_tile = _scratch(len(rates))
+    low, high = rates.min(), rates.max()
+    for lo in range(0, len(times), _TILE_COLUMNS):
+        t = times[lo:lo + _TILE_COLUMNS]
+        if low * t.min() >= _EXP_ARG_CAP and np.isfinite(high * t.max()):
+            continue
+        u, live, e = (a[:, :len(t)] for a in (u_tile, live_tile, e_tile))
+        np.multiply(rates[:, None], t, out=u)
+        np.greater_equal(u, _EXP_ARG_CAP, out=live)
+        np.logical_not(live, out=live)
+        e.fill(0.0)
+        np.negative(u, out=e, where=live)
+        np.exp(e, out=e, where=live)
+        u *= e
+        np.matmul(weights, e, out=s[lo:lo + len(t)])
+        np.matmul(weights, u, out=tf[lo:lo + len(t)])
+    return s, tf
 
 
 @lru_cache(maxsize=2)

@@ -4,13 +4,19 @@ The oracle is exact, so every check runs at full precision in
 milliseconds; the census cross-check draws a finite potential-outcome
 population and fits it, which is what the exact value is the limit of.
 The reference oracle below is the plain form: exp on every lane of the
-rate-by-time matrix and both arms recomputed on every call. The library
-skips the lanes whose exp is 0, computes the control arm once per
-covariate law and reuses one set of work arrays per shape; every
-comparison with the reference is exact equality.
+full rate-by-time matrix and both arms recomputed on every call. The
+library takes the time grid in column tiles, skips the tiles and lanes
+whose exp is 0, computes the control arm once per covariate law and
+reuses one tile of work arrays per number of nodes; every comparison
+with the reference is exact equality, also in child processes on
+other OpenBLAS kernel sets.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,13 +187,103 @@ def test_survival_terms_results_do_not_alias_the_scratch():
     calibrate._survival_terms(np.linspace(0.5, 800.0, 12), one, one)
     assert [a.tobytes() for a in got] == kept
     for a in got:
-        for work in calibrate._scratch(len(rates), len(times)):
+        for work in calibrate._scratch(len(rates)):
             assert not np.shares_memory(a, work)
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_survival_terms_with_the_cap_crossing_on_a_tile_boundary(order):
+    # the smallest rate reaches the cap exactly at column 512, the start
+    # of the third 256-column tile: the tile before the crossing still
+    # has a live lane at its edge, and the tiles past it are skipped whole
+    _, weights, _, _ = calibrate._quadrature()
+    rates = reference_rates(1)
+    low, cap, width = rates.min(), calibrate._EXP_ARG_CAP, calibrate._TILE_COLUMNS
+    crossing = cap / low
+    while low * crossing < cap:
+        crossing = np.nextafter(crossing, np.inf)
+    while low * np.nextafter(crossing, 0.0) >= cap:
+        crossing = np.nextafter(crossing, 0.0)
+    below = np.geomspace(1e-3, np.nextafter(crossing, 0.0), 2 * width)
+    above = np.geomspace(crossing, 1e3 * crossing, 2 * width)
+    below[-1], above[0] = np.nextafter(crossing, 0.0), crossing
+    times = np.concatenate([below, above])
+    assert low * times[2 * width - 1] < cap <= low * times[2 * width]
+    if order == "descending":
+        times = times[::-1].copy()
+    got = calibrate._survival_terms(times, rates, weights)
+    want = reference_survival_terms(times, rates, weights)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    if order == "ascending":
+        # the last tile evaluated is the one ending at the crossing; an
+        # evaluated tile past the cap would have left no live lane
+        assert calibrate._scratch(len(rates))[1][:, -1].any()
+
+
+def test_survival_terms_keep_nan_where_a_tile_past_the_cap_overflows():
+    # at beta_c 658.2 every lane is past the cap, and the largest rate's
+    # products overflow to inf in the last 6 columns: that tile must
+    # still reach the product, where inf * 0 leaves t f(t) nan
+    _, weights, times, _ = calibrate._quadrature()
+    rates = reference_rates(1)
+    with np.errstate(all="ignore"):
+        treated = times * np.exp(658.2)
+        u = np.outer(rates, treated)
+        got = calibrate._survival_terms(treated, rates, weights)
+        want = reference_survival_terms(treated, rates, weights)
+    assert (u >= calibrate._EXP_ARG_CAP).all()
+    overflow = np.isinf(u).any(axis=0)
+    assert np.flatnonzero(overflow).tolist() == list(range(1994, 2000))
+    assert np.isinf(u[rates.argmax()]).sum() == np.isinf(u).sum()
+    assert np.isnan(got[1][overflow]).all()
+    assert (got[1][~overflow] == 0.0).all() and (got[0] == 0.0).all()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+# compares the tiled survival sums with the full-matrix form, byte for
+# byte, for both covariate laws; prints the OpenBLAS kernel set it ran
+# on, then one line per mismatch
+KERNEL_CHILD = """
+import numpy as np
+from conftest import openblas_corename
+from recurweight import calibrate
+print(openblas_corename())
+_, weights, times, _ = calibrate._quadrature()
+for sd in (1.0, float(np.sqrt(1.0 + calibrate.DRIFT_SD**2))):
+    rates = calibrate._control_arm(sd)[0]
+    for beta_c in np.linspace(-1.5, 2.5, 17).tolist() + [30.0, 658.2, 1e3]:
+        with np.errstate(all="ignore"):
+            treated = times * np.exp(beta_c)
+            got = calibrate._survival_terms(treated, rates, weights)
+            u = np.outer(rates, treated)
+            e = np.exp(-np.minimum(u, 750.0))
+            want = weights @ e, weights @ (u * e)
+        for name, a, b in zip(("s", "tf"), got, want):
+            if a.tobytes() != b.tobytes():
+                print(f"sd={sd} beta_c={beta_c} {name}")
+"""
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Nehalem"])
+def test_survival_terms_equal_the_plain_form_on_each_openblas_kernel(core):
+    # OpenBLAS rounds the node sums by its kernel set, and a tile has the
+    # full product's bits only when its width is a multiple of 16: a
+    # child forced onto each kernel set compares the two forms itself
+    paths = [Path(calibrate.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    out = subprocess.run([sys.executable, "-c", KERNEL_CHILD], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    ran_on, *mismatches = out.splitlines()
+    assert mismatches == [], f"asked for {core}, ran on {ran_on}"
+
+
 def test_warm_oracle_call_allocates_no_work_arrays():
-    # the three 80 x 2,000 work arrays (2.7 MB) outlive a call, so a
-    # warm call allocates only vectors over the 2,000-point grid
+    # the three 80 x 256 tile arrays (0.35 MB) outlive a call, so a warm
+    # call allocates only vectors over the 2,000-point grid (182 kB
+    # measured); allocating the tile per call would pass 0.39 MB
     marginal_hr_oracle(0.7, 1)
     tracemalloc.start()
     try:
@@ -195,7 +291,7 @@ def test_warm_oracle_call_allocates_no_work_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 500_000
+    assert peak < 300_000
 
 
 def test_shared_arrays_are_read_only():
