@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import InitVar, asdict, dataclass, fields, replace
+from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,25 +68,26 @@ _IGNORED = "ignored: the marginal-HR oracle is exact"
 class RunManifest:
     """Everything needed to reproduce one invocation.
 
-    Fields print in this order: config, the run's ScenarioConfig, with
-    its intercepts and simgen's fixed design. The command runs config with
-    each target's beta_c and fills in beta_c_values once the truth is known.
+    The constructor takes what a command sets. The other fields print
+    config, the run's ScenarioConfig, with its intercepts and simgen's fixed
+    design; the command runs config with each target's beta_c and fills in
+    beta_c_values once the truth is known.
     """
 
     command: str
     config: InitVar[ScenarioConfig]
-    scenario: int = None
-    n_subjects: int = None
-    alpha0: float = None
-    alpha1: float = simgen.ALPHA1
-    gamma0: float = None
-    gamma1: float = simgen.GAMMA1
-    gamma2: float = simgen.GAMMA2
-    beta1: float = simgen.BETA1
-    baseline_rate: float = simgen.BASELINE_RATE
-    drift_sd: float = simgen.DRIFT_SD
-    tau: float = None
-    prevalence: float = None
+    scenario: int = field(init=False, default=None)
+    n_subjects: int = field(init=False, default=None)
+    alpha0: float = field(init=False, default=None)
+    alpha1: float = field(init=False, default=simgen.ALPHA1)
+    gamma0: float = field(init=False, default=None)
+    gamma1: float = field(init=False, default=simgen.GAMMA1)
+    gamma2: float = field(init=False, default=simgen.GAMMA2)
+    beta1: float = field(init=False, default=simgen.BETA1)
+    baseline_rate: float = field(init=False, default=simgen.BASELINE_RATE)
+    drift_sd: float = field(init=False, default=simgen.DRIFT_SD)
+    tau: float = field(init=False, default=None)
+    prevalence: float = field(init=False, default=None)
     target_hrs: tuple = None
     n_reps: int = None
     master_seed: int = None
@@ -94,7 +95,7 @@ class RunManifest:
     output_path: str = None
     recalibrate: bool = None
     oracle_n: int = None
-    beta_c_values: tuple = ()
+    beta_c_values: tuple = field(init=False, default=())
 
     def __post_init__(self, config):
         self.config = config
@@ -137,13 +138,11 @@ def _positive(kind, name):
 
 
 def _add_common(sub, target_hr):
-    sub.add_argument(
-        "--scenario", choices=sorted(SCENARIO_BY_NAME), default=None
-    )
-    sub.add_argument("--n", type=int, default=10_000)
-    sub.add_argument(
-        "--prevalence", type=float, choices=[0.25, 0.5], default=0.25
-    )
+    sub.add_argument("--scenario", choices=sorted(SCENARIO_BY_NAME), default=None)
+    sub.add_argument("--n", type=int, default=ScenarioConfig.n_subjects)
+    sub.add_argument("--prevalence", type=float,
+                     choices=sorted(simgen.ALPHA0_BY_PREVALENCE),
+                     default=ScenarioConfig.prevalence)
     sub.add_argument("--target-hr", default=target_hr)
     sub.add_argument("--tau", type=float, default=None)
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
@@ -189,11 +188,12 @@ def parse_args(argv):
             target_hrs=_parse_targets(args.targets, usage),
             output_format=args.format,
             output_path=args.out,
+            recalibrate=True,  # the command is the solve
         )
 
     # the config is the one check of --n and --tau
     try:
-        config = ScenarioConfig(SCENARIO_BY_NAME[args.scenario or "independent"],
+        config = ScenarioConfig(SCENARIO_BY_NAME.get(args.scenario, ScenarioConfig.scenario),
                                 prevalence=args.prevalence, n_subjects=args.n,
                                 tau=args.tau)
     except ValueError as exc:
@@ -352,27 +352,25 @@ def emit_calibration(entries, manifest):
     )
 
 
-def _resolve_entry(hr, manifest):
-    cached = None if manifest.recalibrate else lookup_calibration(hr)
-    if cached is not None:
-        return cached
-    return calibrate_beta_c(float(np.log(hr)))
+def _entries(manifest):
+    """Each target's entry: the published one on the table's grid, else, or
+    under recalibrate, a fresh exact solve. Sets beta_c_values."""
+    entries = []
+    for hr in manifest.target_hrs:
+        entry = None if manifest.recalibrate else lookup_calibration(hr)
+        entries.append(entry or calibrate_beta_c(float(np.log(hr))))
+    manifest.beta_c_values = tuple(e.beta_c for e in entries)
+    return entries
 
 
 def _cmd_calibrate(manifest):
-    entries = tuple(
-        calibrate_beta_c(float(np.log(hr))) for hr in manifest.target_hrs
-    )
-    manifest.beta_c_values = tuple(e.beta_c for e in entries)
-    emit_calibration(entries, manifest)
+    emit_calibration(_entries(manifest), manifest)
     return 0
 
 
 def _cmd_simulate(manifest):
-    entries = [(hr, _resolve_entry(hr, manifest)) for hr in manifest.target_hrs]
-    manifest.beta_c_values = tuple(e.beta_c for _, e in entries)
     rows = []
-    for hr, entry in entries:
+    for entry in _entries(manifest):
         config = replace(manifest.config, beta_c=entry.beta_c)
         for event, summary in enumerate(
             run_simulation(config, entry, manifest.n_reps, manifest.master_seed),
@@ -403,8 +401,7 @@ def _cmd_simulate(manifest):
 
 
 def _cmd_generate(manifest):
-    entry = _resolve_entry(manifest.target_hrs[0], manifest)
-    manifest.beta_c_values = (entry.beta_c,)
+    [entry] = _entries(manifest)
     config = replace(manifest.config, beta_c=entry.beta_c)
     with _output(manifest.output_path) as fh:
         fh.write("\n".join(_manifest_lines(manifest, "#")) + "\n")

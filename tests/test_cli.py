@@ -272,6 +272,26 @@ def test_generate_stdout_equals_out_file(tmp_path, capsys):
     )
 
 
+def test_calibrate_never_reads_the_published_table(monkeypatch, capsys):
+    def published(hr):
+        raise AssertionError("calibrate read the published table")
+
+    monkeypatch.setattr(cli, "lookup_calibration", published)
+    assert run_cli(["calibrate", "--targets", "2"]) == 0
+    # a fresh solve, not the published 0.783
+    assert "# beta_c_values: 0.7832" in capsys.readouterr().out
+
+
+def test_recalibrate_solves_the_target_once(monkeypatch):
+    monkeypatch.setenv("RECURWEIGHT_THREADS", "1")
+    solves, solve = [], cli.calibrate_beta_c
+    monkeypatch.setattr(cli, "calibrate_beta_c",
+                        lambda beta_m1: solves.append(beta_m1) or solve(beta_m1))
+    assert run_cli("simulate --recalibrate --target-hr 2 --n 300 --reps 1 "
+                   "--seed 3".split()) == 0
+    assert solves == [float(np.log(2.0))]
+
+
 def _record_configs(monkeypatch, name):
     """Make cli.<name> record each config it runs, then run it."""
     configs, run = [], getattr(cli, name)

@@ -3,14 +3,18 @@
 ScenarioConfig holds what a study varies across its cells; the rest of
 the design is fixed in simgen. A config field that no flag sets would be
 a knob no command can turn, and whose other values no truth is computed
-for, so each field must follow exactly one flag of `simulate`.
+for, so each field must follow exactly one flag of `simulate`. The run
+manifest takes only what a command sets, so its design lines can only
+print the config the command runs.
 """
 
+import inspect
 from dataclasses import fields
 
 import pytest
 
 from recurweight import cli
+from recurweight.cli import RunManifest
 from recurweight.simgen import ScenarioConfig
 
 BASE = {"--scenario": "independent", "--prevalence": "0.25", "--n": "40",
@@ -54,3 +58,15 @@ def test_each_config_field_follows_one_flag(monkeypatch):
         changed = captured_config(monkeypatch, {**BASE, flag: value})
         moved = [n for n in names if getattr(changed, n) != getattr(base, n)]
         assert moved == [name], (flag, moved)
+
+
+def test_manifest_takes_only_what_a_command_sets():
+    assert list(inspect.signature(RunManifest).parameters) == [
+        "command", "config", "target_hrs", "n_reps", "master_seed",
+        "output_format", "output_path", "recalibrate", "oracle_n"]
+
+
+def test_manifest_refuses_a_design_value():
+    # a design value set here would print a line the generator never used
+    with pytest.raises(TypeError, match="alpha1"):
+        RunManifest(command="simulate", config=ScenarioConfig(3, 0.5), alpha1=9.0)

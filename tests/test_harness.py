@@ -323,6 +323,31 @@ def test_simulation_abort_counts_failures_by_type(monkeypatch):
         "MonotoneLikelihoodError: 1); results would be unreliable")
 
 
+def test_simulation_refuses_a_truth_for_another_beta_c(monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("a replicate or pool started")
+
+    monkeypatch.setattr(harness, "run_replicate", started)
+    monkeypatch.setattr(harness, "Pool", started)
+    with pytest.raises(ValueError, match=r"beta_c 0\.783.* beta_c 0\.46$"):
+        run_simulation(config_for(1, 0.25, 500, beta_c=0.46), TRUTH_LN2, 4, 5)
+
+
+def test_serial_study_runs_the_pool_chunks_in_process(monkeypatch):
+    chunks, run_chunk = [], harness._run_chunk
+
+    def recording(config, seed, indices):
+        chunks.append(list(indices))
+        return run_chunk(config, seed, indices)
+
+    monkeypatch.setattr(harness, "_run_chunk", recording)
+    monkeypatch.setenv("RECURWEIGHT_THREADS", "1")
+    truth = lookup_calibration(1.5)
+    row1, _ = run_simulation(config_for(1, 0.25, 300, beta_c=truth.beta_c), truth, 17, 5)
+    assert chunks == [list(range(8)), list(range(8, 16)), [16]]
+    assert row1.n_reps == 17
+
+
 def test_simulation_thread_count_invariance(monkeypatch):
     truth = lookup_calibration(1.5)
     cfg = config_for(3, 0.25, 1_500, beta_c=truth.beta_c)
