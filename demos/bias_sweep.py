@@ -5,17 +5,22 @@ covariate both vary across events, assignment confounded by the
 current covariate), both prevalence settings, three effect sizes,
 60 replicates of n = 10,000 each. Two patterns to look for:
 
-  * bias of the weighted estimator stays within Monte Carlo noise of
-    zero for both events (the bias column wobbles by a few percent at
-    60 replicates; the full 1,000-replicate runs pin it near zero);
+  * bias of the weighted estimator is small but not zero (the bias
+    column wobbles by a few percent at 60 replicates). The
+    1,000-replicate runs in ROADMAP.md put the second event +3.0 MCSE
+    above its truth at prevalence 0.5 and +5.3 MCSE above the
+    prevalence-aware truth at 0.25, and the first event at 0.25 +9.7
+    MCSE above the reported truth, within 1.3 MCSE of the
+    prevalence-aware one;
   * the naive (model-based) standard error is close to honest for the
     first event but collapses to a fraction of the empirical spread
     for the second, where the weights are heavy-tailed. The sandwich
     standard error stays in the right neighbourhood for both.
 
-A short coda shrinks the cohort to n = 2,500 to show that the
-second-event estimator is only unbiased once n is large enough for
-the weight tail to average out.
+A short coda shrinks the cohort to n = 2,500, where the second-event
+bias is larger. ROADMAP.md item 7's n-scaling table measures it at
+prevalence 0.25: +5.8 MCSE at n = 2,500, +5.3 at 10,000 and +4.4 at
+40,000 against the prevalence-aware truth, and gone at n = 4x10^6.
 
 Run time: about 2.5 s on 2 cores.
 """

@@ -117,8 +117,8 @@ def _fit(time, event, treatment, weight):
 
 def run_replicate(config, master_seed, replicate_index=0):
     """One full generate/weight/fit pass; failures are flagged, not raised."""
-    # a scalar view of a 0-d array: writable, and it pickles for the
-    # pool at about half the cost of the array
+    # a scalar view of a 0-d array: one writable record, like a row of the
+    # array _run_chunk stacks, which is what crosses the pool
     row = np.full((), np.nan, REPLICATE_DTYPE)[()]
     try:
         ds = gen_dataset(config, RngStream(master_seed, replicate_index))

@@ -22,8 +22,9 @@ scenarios under the same stream. One draw stage makes these draws for
 both the cohort and the potential outcomes, so the two share x1, x2,
 u1 and u2 by construction. Each column is drawn in blocks, and a
 uniform's exact zeros are redrawn right after their block, so a block's
-values depend only on the stream state at its start: gen_blocks replays
-a block from that state alone.
+values never wait on later draws. A column's blocks are consecutive
+draws from the stream, so gen_blocks replays each column, block by
+block, from the stream state at its start.
 """
 
 import enum
@@ -167,28 +168,23 @@ def _draw(config, stream, ds):
     the w fields hold u1 and u2, and z2 (unless assigned), the gap times
     and the delta fields are not yet set. A uniform block's exact zeros
     are redrawn right after that block (_block_draws), so each u lies in
-    (0, 1) and each block's values depend only on the stream state at its
-    start. Consecutive blocks continue the stream, so without an exact
+    (0, 1). Consecutive blocks continue the stream, so without an exact
     zero the values are those of one whole-column draw at any block size;
     a zero takes the draw after its own block, not after the column.
 
-    For each column, in draw order, returns the stream state at the start
-    of each block past ds, from which those rows are drawn again: empty
-    when ds holds every row.
+    Returns the stream state at the start of each column, in draw order:
+    from it, the column's blocks are drawn again in turn.
     """
     n, held = config.n_subjects, len(ds)
-    plan = []
+    states = []
     for name, value, sd in _columns(config):
-        states = []
+        states.append(stream.bit_generator.state)
         for start in range(0, n, GEN_BLOCK_ROWS):
-            if start >= held:
-                states.append(stream.bit_generator.state)
             v = _block_draws(stream, min(GEN_BLOCK_ROWS, n - start), sd)
             if start < held:
                 b = ds[start:start + GEN_BLOCK_ROWS]
                 b[name] = value(b, v)
-        plan.append(states)
-    return plan
+    return states
 
 
 def _derive(config, b):
@@ -230,24 +226,22 @@ def gen_blocks(config, stream):
     blocks of GEN_BLOCK_ROWS rows (the last may be shorter), holding one
     block, not the cohort.
 
-    The first next() runs the draw stage over every row with room for the
-    first block, which leaves the stream where gen_dataset leaves it and
-    records, per later block and column, the stream state at the block's
-    start. A block's draws, zero redraws included, depend only on that
-    state, so a private PCG64 generator set to it draws each later block
-    again, and every byte matches gen_dataset's.
+    The first next() runs the draw stage over every row, holding none, so
+    the stream is left where gen_dataset leaves it and each column's start
+    state is recorded. One private PCG64 generator per column, set to that
+    state, then draws the column's blocks again in turn, zero redraws
+    included, so every byte matches gen_dataset's.
     Every block is the same reused buffer: a caller that keeps a block past
     the next one must copy it.
     """
     c = config
     block = np.empty(min(c.n_subjects, GEN_BLOCK_ROWS), dtype=SUBJECT_DTYPE)
-    plan = _draw(c, stream, block)
-    yield _derive(c, block)
-    replay = np.random.Generator(np.random.PCG64())
-    for k, start in enumerate(range(len(block), c.n_subjects, GEN_BLOCK_ROWS)):
+    replays = [np.random.Generator(np.random.PCG64()) for _ in _columns(c)]
+    for replay, state in zip(replays, _draw(c, stream, block[:0])):
+        replay.bit_generator.state = state
+    for start in range(0, c.n_subjects, GEN_BLOCK_ROWS):
         b = block[:min(GEN_BLOCK_ROWS, c.n_subjects - start)]
-        for (name, value, sd), states in zip(_columns(c), plan):
-            replay.bit_generator.state = states[k]
+        for (name, value, sd), replay in zip(_columns(c), replays):
             b[name] = value(b, _block_draws(replay, len(b), sd))
         yield _derive(c, b)
 

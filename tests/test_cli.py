@@ -411,6 +411,17 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_failed_allocation_exit_1(monkeypatch, capsys):
+    # a cohort too large to allocate is reported as a run-time error, not
+    # as a traceback
+    def unable(*args):
+        raise MemoryError("Unable to allocate 32.7 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_simulation", unable)
+    assert run_cli("simulate --n 1000000000000 --reps 1".split()) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 32.7 TiB for an array\n"
+
+
 def test_closed_stdout_exits_1_without_an_error():
     # the reader stops after one line, as `generate | head -1` does: the
     # command stops with exit 1 and writes nothing to stderr

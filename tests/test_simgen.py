@@ -542,24 +542,47 @@ def streamed_bytes(cfg, stream):
 @pytest.mark.parametrize("tau", [None, 0.5])
 @pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_streamed_blocks_equal_the_cohort(scenario, tau):
-    # 40,000 rows are three blocks, the last one partial: the second and
-    # third are drawn again from their recorded stream states
-    cfg = config_for(scenario, 0.5, 40_000, beta_c=0.7, tau=tau)
-    whole, stream = RngStream(52), RngStream(52)
-    ds = gen_dataset(cfg, whole)
-    data, lengths = streamed_bytes(cfg, stream)
-    assert lengths == [simgen.GEN_BLOCK_ROWS] * 2 + [40_000 - 2 * simgen.GEN_BLOCK_ROWS]
-    assert data == ds.tobytes()
-    assert stream.bit_generator.state == whole.bit_generator.state
+    # 40,000 rows are three blocks, the last one partial; twice
+    # GEN_BLOCK_ROWS rows are two full blocks and no partial one. Each
+    # column's blocks are drawn again from the column's start state
+    rows = simgen.GEN_BLOCK_ROWS
+    for n, expected in ((40_000, [rows, rows, 40_000 - 2 * rows]), (2 * rows, [rows, rows])):
+        cfg = config_for(scenario, 0.5, n, beta_c=0.7, tau=tau)
+        whole, stream = RngStream(52), RngStream(52)
+        ds = gen_dataset(cfg, whole)
+        data, lengths = streamed_bytes(cfg, stream)
+        assert lengths == expected
+        assert data == ds.tobytes(), n
+        assert stream.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_streamed_cohort_holds_the_same_memory_at_any_length(scenario, monkeypatch):
+    # after the first block, gen_blocks holds one block and a replay
+    # generator per column, however many blocks the cohort has
+    monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
+    held = []
+    for n in (64 * 40, 64 * 4_000):
+        cfg = non_default_config(scenario, n)
+        tracemalloc.start()
+        try:
+            blocks = gen_blocks(cfg, RngStream(53))
+            next(blocks)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        blocks.close()
+    assert abs(held[1] - held[0]) <= 0.1 * held[0], (
+        f"{held[0]} B at 64 x 40 rows, {held[1]} B at 64 x 4,000")
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_streamed_blocks_carry_the_zero_redraws(scenario, monkeypatch):
     # 200 rows are three 64-row blocks and a partial one. Each uniform
     # column draws an exact zero from a real stream, on its own stream, in
-    # the held first block (row 10) or in a later one (row 150). A later
-    # block is drawn again from its start state by a private generator,
-    # which must meet the same zero and redraw it the same way
+    # the first block (row 10) or in a later one (row 150). The column is
+    # drawn again from its start state by a private generator, which must
+    # meet the same zero and redraw it the same way
     monkeypatch.setattr(simgen, "GEN_BLOCK_ROWS", 64)
     cfg = non_default_config(scenario, 200)
     uniforms = ["t1", "u1", "u2"] + (["t2"] if scenario == 3 else [])
