@@ -23,8 +23,9 @@ both the cohort and the potential outcomes, so the two share x1, x2,
 u1 and u2 by construction. Each column is drawn in blocks, and a
 uniform's exact zeros are redrawn right after their block, so a block's
 values never wait on later draws. A column's blocks are consecutive
-draws from the stream, so gen_blocks replays each column, block by
-block, from the stream state at its start.
+draws from the stream, so gen_blocks records the stream state at each
+column's start and replays the column from it, block by block; no
+other code reads a stream state.
 """
 
 import enum
@@ -163,28 +164,19 @@ def _columns(config):
 
 
 def _draw(config, stream, ds):
-    """The draw stage both generators share. It draws every column of the
-    cohort's n rows, block by block, and fills ds, the first len(ds) rows:
-    the w fields hold u1 and u2, and z2 (unless assigned), the gap times
-    and the delta fields are not yet set. A uniform block's exact zeros
-    are redrawn right after that block (_block_draws), so each u lies in
+    """The draw stage both generators share: it draws every column of the
+    cohort ds, block by block, and writes each block as it goes. The w
+    fields hold u1 and u2, and z2 (unless assigned), the gap times and the
+    delta fields are not yet set. A uniform block's exact zeros are
+    redrawn right after that block (_block_draws), so each u lies in
     (0, 1). Consecutive blocks continue the stream, so without an exact
     zero the values are those of one whole-column draw at any block size;
     a zero takes the draw after its own block, not after the column.
-
-    Returns the stream state at the start of each column, in draw order:
-    from it, the column's blocks are drawn again in turn.
     """
-    n, held = config.n_subjects, len(ds)
-    states = []
     for name, value, sd in _columns(config):
-        states.append(stream.bit_generator.state)
-        for start in range(0, n, GEN_BLOCK_ROWS):
-            v = _block_draws(stream, min(GEN_BLOCK_ROWS, n - start), sd)
-            if start < held:
-                b = ds[start:start + GEN_BLOCK_ROWS]
-                b[name] = value(b, v)
-    return states
+        for start in range(0, len(ds), GEN_BLOCK_ROWS):
+            b = ds[start:start + GEN_BLOCK_ROWS]
+            b[name] = value(b, _block_draws(stream, len(b), sd))
 
 
 def _derive(config, b):
@@ -226,22 +218,27 @@ def gen_blocks(config, stream):
     blocks of GEN_BLOCK_ROWS rows (the last may be shorter), holding one
     block, not the cohort.
 
-    The first next() runs the draw stage over every row, holding none, so
-    the stream is left where gen_dataset leaves it and each column's start
-    state is recorded. One private PCG64 generator per column, set to that
-    state, then draws the column's blocks again in turn, zero redraws
-    included, so every byte matches gen_dataset's.
+    The first next() passes over every column in draw order: a private
+    PCG64 generator per column is set to the stream's state at the
+    column's start, and the stream is advanced through the column's
+    blocks, zero redraws included, so it is left where gen_dataset leaves
+    it. Each column's generator then draws its blocks again in turn, so
+    every byte matches gen_dataset's.
     Every block is the same reused buffer: a caller that keeps a block past
     the next one must copy it.
     """
     c = config
     block = np.empty(min(c.n_subjects, GEN_BLOCK_ROWS), dtype=SUBJECT_DTYPE)
-    replays = [np.random.Generator(np.random.PCG64()) for _ in _columns(c)]
-    for replay, state in zip(replays, _draw(c, stream, block[:0])):
-        replay.bit_generator.state = state
+    columns, replays = _columns(c), []
+    for _name, _value, sd in columns:
+        replay = np.random.Generator(np.random.PCG64())
+        replay.bit_generator.state = stream.bit_generator.state
+        replays.append(replay)
+        for start in range(0, c.n_subjects, GEN_BLOCK_ROWS):
+            _block_draws(stream, min(GEN_BLOCK_ROWS, c.n_subjects - start), sd)
     for start in range(0, c.n_subjects, GEN_BLOCK_ROWS):
         b = block[:min(GEN_BLOCK_ROWS, c.n_subjects - start)]
-        for (name, value, sd), replay in zip(_columns(c), replays):
+        for (name, value, sd), replay in zip(columns, replays):
             b[name] = value(b, _block_draws(replay, len(b), sd))
         yield _derive(c, b)
 

@@ -543,10 +543,12 @@ def streamed_bytes(cfg, stream):
 @pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_streamed_blocks_equal_the_cohort(scenario, tau):
     # 40,000 rows are three blocks, the last one partial; twice
-    # GEN_BLOCK_ROWS rows are two full blocks and no partial one. Each
-    # column's blocks are drawn again from the column's start state
+    # GEN_BLOCK_ROWS rows are two full blocks and no partial one; 2 and
+    # GEN_BLOCK_ROWS rows are one block each. Each column's blocks are
+    # drawn again from the column's start state
     rows = simgen.GEN_BLOCK_ROWS
-    for n, expected in ((40_000, [rows, rows, 40_000 - 2 * rows]), (2 * rows, [rows, rows])):
+    for n, expected in ((40_000, [rows, rows, 40_000 - 2 * rows]), (2 * rows, [rows, rows]),
+                        (2, [2]), (rows, [rows])):
         cfg = config_for(scenario, 0.5, n, beta_c=0.7, tau=tau)
         whole, stream = RngStream(52), RngStream(52)
         ds = gen_dataset(cfg, whole)
@@ -554,6 +556,34 @@ def test_streamed_blocks_equal_the_cohort(scenario, tau):
         assert lengths == expected
         assert data == ds.tobytes(), n
         assert stream.bit_generator.state == whole.bit_generator.state
+
+
+class StateCountingPCG64(np.random.PCG64):
+    """A PCG64 whose state property counts its reads. A read names the
+    plain PCG64, so a plain generator can be set to it."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.reads = 0
+
+    @property
+    def state(self):
+        self.reads += 1
+        return {**np.random.PCG64.state.__get__(self), "bit_generator": "PCG64"}
+
+
+@pytest.mark.parametrize("scenario, columns", [(1, 4), (2, 5), (3, 6)])
+def test_only_the_streamed_cohort_reads_stream_states(scenario, columns):
+    # gen_dataset and gen_potential_outcomes only draw; gen_blocks reads the
+    # stream's state once per column, at the column's start, to replay it
+    cfg = config_for(scenario, 0.5, 40_000, beta_c=0.7, tau=0.5)
+    whole, outcomes, streamed = (StateCountingPCG64(54) for _ in range(3))
+    ds = gen_dataset(cfg, np.random.Generator(whole))
+    gen_potential_outcomes(cfg, np.random.Generator(outcomes))
+    data, _ = streamed_bytes(cfg, np.random.Generator(streamed))
+    assert (whole.reads, outcomes.reads, streamed.reads) == (0, 0, columns)
+    assert data == ds.tobytes()
+    assert streamed.state == whole.state == outcomes.state
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
