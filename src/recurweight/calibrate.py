@@ -60,6 +60,11 @@ _EXP_ARG_CAP = 746.0
 # columns of the log-time grid per tile of _survival_terms; it must be
 # a multiple of 16 (the function's docstring says why)
 _TILE_COLUMNS = 256
+# the oracle's domain, |beta_c| <= 30: up to 30 both events agree with
+# a 200-node, 8,000-point grid over +-90 to 2e-7 and event 1 rises at
+# every 0.05 step; event 1 drifts 2e-6 from it by 31.95, falls between
+# 32.6 and 32.65, and from 35.25 returns its bracket end
+MAX_ABS_BETA_C = 30.0
 # |U| at which the limiting score counts as zero; U is in probability
 # units with slope -0.4 to -0.5 at the table's beta_c values, so the
 # root is good to about 3e-13
@@ -226,7 +231,7 @@ def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
     [t f1 S0 - e^beta t f0 S1] / (S0 + e^beta S1) over the points where
     S0 + S1 > 0 (both underflow at large t). Raises ValueError when no
     grid point carries mass or U is not finite, as happens for a
-    non-finite beta_c.
+    non-finite beta_c, and when |beta_c| > MAX_ABS_BETA_C.
     """
     if event not in (1, 2):
         raise ValueError("event must be 1 or 2")
@@ -252,6 +257,13 @@ def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
     # both bracket ends off the root
     lo, hi = min(0.0, beta_c) - 0.5, max(0.0, beta_c) + 0.5
     beta, _ = _bisect(negative_score, lo, hi, _SCORE_TOLERANCE)
+    # checked after the root, so that a beta_c whose score the grid
+    # cannot even evaluate still says so
+    if abs(beta_c) > MAX_ABS_BETA_C:
+        raise ValueError(
+            f"beta_c={beta_c} is outside the oracle's domain "
+            f"|beta_c| <= {MAX_ABS_BETA_C}, which its grid resolves"
+        )
     return float(beta)
 
 
@@ -305,7 +317,8 @@ def calibrate_beta_c(target_beta_m1):
 
     Marginal effects are attenuated relative to conditional ones here,
     so the root lies in [target, 2 target + 0.5], over which the oracle
-    is monotone increasing in beta_c. Each evaluation goes through the
+    is monotone increasing in beta_c; the bracket is cut at the oracle's
+    domain bound MAX_ABS_BETA_C. Each evaluation goes through the
     module attribute marginal_hr_oracle, so a wrapper installed there
     sees every call.
     """
@@ -317,7 +330,7 @@ def calibrate_beta_c(target_beta_m1):
     def gap(beta_c):
         return marginal_hr_oracle(beta_c, 1) - target_beta_m1
 
-    lo, hi = target_beta_m1, 2.0 * target_beta_m1 + 0.5
+    lo, hi = target_beta_m1, min(2.0 * target_beta_m1 + 0.5, MAX_ABS_BETA_C)
     beta_c, residual = _bisect(gap, lo, hi, SOLVE_TOLERANCE)
     return CalibrationEntry(
         beta_m1=target_beta_m1,

@@ -186,27 +186,6 @@ def _has_finite_maximum(rs, arms):
             and z[control] == 0.0 and arms.a1[control] > 0.0)
 
 
-def _risk_sums(beta, arms):
-    s1 = np.exp(beta) * arms.a1
-    return arms.a0 + s1, s1
-
-
-def partial_loglik(beta, sample):
-    """Weighted log partial likelihood at beta (Breslow ties).
-
-    A scalar beta gives a float. A 1-D array of betas gives one value
-    per beta from a single sort of the sample, at the cost of
-    len(beta) x (number of events) temporaries.
-    """
-    b = np.asarray(beta, dtype=float)
-    if b.ndim > 1:
-        raise ValueError("beta must be a scalar or a 1-D array")
-    arms = _arm_sums(_sorted_arrays(sample))
-    s0, _ = _risk_sums(b[..., None], arms)
-    loglik = b * arms.d1 - np.sum(arms.w * np.log(s0), axis=-1)
-    return float(loglik) if b.ndim == 0 else loglik
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _loglik_at(beta, arms):
     """Log partial likelihood at beta, with the risk sums behind it.
@@ -215,7 +194,8 @@ def _loglik_at(beta, arms):
     likelihood then reads -inf or nan, which step-halving counts as a
     drop, so the overflow is not worth a warning.
     """
-    s0, s1 = _risk_sums(beta, arms)
+    s1 = np.exp(beta) * arms.a1
+    s0 = arms.a0 + s1
     return beta * arms.d1 - np.sum(arms.w * np.log(s0)), s0, s1
 
 
@@ -255,8 +235,6 @@ def fit_weighted_cox(sample):
     # s0, s1 are the risk sums at beta; each likelihood evaluation
     # returns them, so the accepted step's sums serve the next iterate
     loglik, s0, s1 = _loglik_at(beta, arms)
-    converged = False
-    it = 0
     for it in range(1, _MAX_ITER + 1):
         m = s1 / s0
         score = arms.d1 - np.sum(w * m)
@@ -279,14 +257,13 @@ def fit_weighted_cox(sample):
                 f"estimate escaped |beta| > {_BETA_BOUND}: monotone likelihood"
             )
         if abs(score) < _SCORE_TOL or abs(step) < _STEP_TOL:
-            converged = True
             break
         if dropped:
             raise CoxConvergenceError(
                 f"step-halving found no ascent at iteration {it} "
                 f"(beta={beta:.6g}, score={score:.3g})"
             )
-    if not converged:
+    else:
         raise CoxConvergenceError(f"no convergence in {_MAX_ITER} iterations")
 
     m = s1 / s0

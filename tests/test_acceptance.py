@@ -25,12 +25,13 @@ from recurweight.coxfit import (
     MonotoneLikelihoodError,
     SurvivalSample,
     fit_weighted_cox,
-    partial_loglik,
 )
 from recurweight.harness import run_simulation
 from recurweight.iptw import build_treatment_weights
 from recurweight.simgen import config_for, gen_dataset
 from recurweight.statcore import RngStream, fit_logistic
+
+from cox_reference import partial_loglik
 
 SEED = 20250801
 REPS = 200

@@ -138,6 +138,14 @@ def test_oracle_raises_instead_of_returning_nan(beta_c, message):
         marginal_hr_oracle(beta_c, 1)
 
 
+@pytest.mark.parametrize("beta_c, event", [(30.05, 1), (35.5, 1), (50.0, 1), (48.5, 2)])
+def test_oracle_refuses_beta_c_beyond_its_domain(beta_c, event):
+    # past the bound the grid no longer resolves the root; unchecked,
+    # the last three returned 36.0, -0.5 and 49.0, their bracket ends
+    with pytest.raises(ValueError, match="outside the oracle's domain"):
+        marginal_hr_oracle(beta_c, event)
+
+
 @pytest.mark.parametrize("scenario", [1, 3])
 @pytest.mark.parametrize("event", [1, 2])
 @pytest.mark.parametrize("beta_c", [0.0, 0.4599, 0.783, 1.2331, -1.0, 30.0])
@@ -361,6 +369,15 @@ def test_exact_solve_reproduces_published_table():
         assert entry.beta_m1 == pytest.approx(ref.beta_m1, abs=5e-4)
         assert entry.beta_c == pytest.approx(ref.beta_c, abs=5e-4), hr
         assert entry.beta_m2 == pytest.approx(ref.beta_m2, abs=5e-4), hr
+
+
+def test_target_whose_bracket_end_leaves_the_domain_still_solves():
+    # log HR 24.75: the unclamped bracket end 2 * 24.75 + 0.5 = 50 lies
+    # past the domain, where the oracle returned -0.5, and the solve
+    # failed; the root, near beta_c 26.1, lies inside it
+    entry = calibrate_beta_c(24.75)
+    assert entry.beta_c <= calibrate.MAX_ABS_BETA_C
+    assert abs(entry.achieved_beta_m1 - 24.75) <= calibrate.SOLVE_TOLERANCE
 
 
 def test_calibration_deterministic():

@@ -411,6 +411,15 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_calibrate_target_beyond_the_oracle_domain_exit_1(capsys):
+    # marginal HR 1e15 is log HR 34.5, so the solve's first oracle call
+    # lies past the domain bound
+    assert run_cli(["calibrate", "--targets", "1e15"]) == 1
+    err = capsys.readouterr().err
+    assert "outside the oracle's domain" in err
+    assert "straddle" not in err
+
+
 def test_failed_allocation_exit_1(monkeypatch, capsys):
     # a cohort too large to allocate is reported as a run-time error, not
     # as a traceback

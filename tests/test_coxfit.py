@@ -8,7 +8,6 @@ from recurweight.coxfit import (
     MonotoneLikelihoodError,
     SurvivalSample,
     fit_weighted_cox,
-    partial_loglik,
 )
 from recurweight.simgen import (
     Scenario,
@@ -18,6 +17,8 @@ from recurweight.simgen import (
     gen_potential_outcomes,
 )
 from recurweight.statcore import RngStream
+
+from cox_reference import partial_loglik
 
 
 def make_sample(time, event, z, w=None):
@@ -104,6 +105,23 @@ class TestPartialLoglik:
         assert isinstance(partial_loglik(0.5, s), float)
         with pytest.raises(ValueError):
             partial_loglik(np.zeros((2, 2)), s)
+
+    def test_fit_likelihood_equals_the_reference(self):
+        # the factored likelihood the fit evaluates, against the
+        # definition, on samples with tied times, censored rows and
+        # zero weights
+        rng = RngStream(407)
+        grid = np.linspace(-3, 3, 13)
+        for _ in range(20):
+            n = int(5 + rng.random() * 60)
+            t = 1.0 + np.floor(rng.random(n) * 8)  # 8 distinct times
+            d = (rng.random(n) < 0.7).astype(float)
+            z = (rng.random(n) < 0.5).astype(float)
+            w = np.where(rng.random(n) < 0.2, 0.0, 0.25 + 2 * rng.random(n))
+            s = make_sample(t, d, z, w)
+            arms = coxfit._arm_sums(coxfit._sorted_arrays(s))
+            got = [coxfit._loglik_at(b, arms)[0] for b in grid]
+            npt.assert_allclose(got, partial_loglik(grid, s), rtol=1e-12)
 
 
 class TestFitWeightedCox:
@@ -229,6 +247,14 @@ class TestFitWeightedCox:
 
         monkeypatch.setattr(coxfit, "_loglik_at", falling)
         with pytest.raises(CoxConvergenceError, match="no ascent"):
+            fit_weighted_cox(THREE)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a fit still short of convergence at the cap raises rather
+        # than returning its last iterate
+        assert fit_weighted_cox(THREE).n_iter > 1
+        monkeypatch.setattr(coxfit, "_MAX_ITER", 1)
+        with pytest.raises(CoxConvergenceError, match="no convergence in 1 iterations"):
             fit_weighted_cox(THREE)
 
     def test_nan_likelihood_is_not_an_ascent(self, monkeypatch):

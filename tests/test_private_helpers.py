@@ -2,25 +2,18 @@
 
 If no library code names a top-level function or class outside its own
 definition, nothing a run does reaches it, and it is dead code that only
-tests, demos or perfbench keep alive; those callers do not count. The
-few names kept for the tests on purpose are listed with their reasons,
-and a private name is never among them: demos and tests may not lean on
-it, so an unused one is simply dead. Nor does library code read or
-write an underscore attribute through a dot (`obj._name`): what is
-private to an object or module stays behind its own name. And every
-name a module imports is used in that module, apart from the few that
-the benchmark's timing spans wrap, listed by name.
+tests, demos or perfbench keep alive; those callers do not count, and
+no name is exempt. A reference the tests need lives in `tests/`. Nor
+does library code read or write an underscore attribute through a dot
+(`obj._name`): what is private to an object or module stays behind its
+own name. And every name a module imports is used in that module, apart
+from the few that the benchmark's timing spans wrap, listed by name.
 """
 
 import ast
 from pathlib import Path
 
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "recurweight"
-
-# unused by the library, kept on purpose; a private name may not go here
-KEPT_FOR_TESTS = {
-    "coxfit.partial_loglik": "the tests' reference for the Cox partial likelihood",
-}
 
 # imported and unused, kept on purpose: perfbench/spans.py wraps each one as
 # a span target, so the benchmark's smoke test needs it to resolve
@@ -135,13 +128,12 @@ def test_every_import_is_used_in_its_module():
 
 
 def test_every_private_helper_is_used_by_the_library():
-    assert not any(_is_private(name) for name in KEPT_FOR_TESTS)
     assert [name for name in _unreferenced_names(_library_sources())
             if _is_private(name)] == []
 
 
 def test_every_top_level_name_is_used_by_the_library():
-    assert sorted(_unreferenced_names(_library_sources())) == sorted(KEPT_FOR_TESTS)
+    assert _unreferenced_names(_library_sources()) == []
 
 
 def test_no_library_code_reaches_a_private_attribute():

@@ -11,12 +11,16 @@ For every command the exit code, stdout, stderr and the bytes of its
 differs, names it and what differs, and exits 1; it exits 0 when every
 command matches.
 
-The battery has 39 commands: `generate` at n = 2, 16,384, 32,768, 40,000
+The battery has 54 commands: `generate` at n = 2, 16,384, 32,768, 40,000
 and 10^6 (one block of simgen.GEN_BLOCK_ROWS rows, partial or full, two
 full blocks, and three or 62 with a partial last one) in all three
 scenarios, with tau unset and 0.5; `simulate` in each format with tau
-unset and 0.5; and `calibrate --targets 2` in each format. Both trees
-take about 25 s together on a 2-core x86-64 host.
+unset and 0.5; `calibrate --targets 2` in each format; small studies
+at a null, an off-table and two targets and with --recalibrate;
+`calibrate` at the five table targets; `generate` at an off-table
+target; five usage errors; and `--help` for the program and each
+subcommand. Both trees take about 45 s together on a 2-core x86-64
+host.
 """
 
 import argparse
@@ -53,6 +57,21 @@ def battery():
     for fmt in FORMATS:
         out = ["--out", OUT] if fmt == "json" else []
         commands.append(["calibrate", "--targets", "2", "--format", fmt, *out])
+    study = ["simulate", "--scenario", "tv-treatment", "--n", "2000", "--reps", "4",
+             "--seed", "11"]
+    for targets in ("1", "1.7", "1.5,2"):
+        commands.append([*study, "--target-hr", targets])
+    commands.append([*study, "--target-hr", "2", "--recalibrate"])
+    commands.append(["calibrate", "--targets", "1,1.5,2,2.5,3"])
+    commands.append(["generate", "--n", "2000", "--target-hr", "1.7", "--seed", "7"])
+    # usage errors, each exit 2
+    commands += [["simulate", "--prevalence", "0.3"],
+                 ["simulate", "--scenario", "independent", "--tau", "0"],
+                 ["simulate", "--seed", "-1"],
+                 ["generate", "--target-hr", "1.5,2"],
+                 ["calibrate", "--targets", "0.5"]]
+    commands.append(["--help"])
+    commands += [[command, "--help"] for command in ("calibrate", "simulate", "generate")]
     return commands
 
 
