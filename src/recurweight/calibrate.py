@@ -20,6 +20,9 @@ are the generator's fixed BASELINE_RATE, BETA1 and DRIFT_SD. The oracle
 evaluates U as a Gauss-Hermite sum in X inside a uniform grid in log t
 and takes its root with a bracketed secant; a second secant solves for
 the beta_c whose first-event marginal effect hits a requested target.
+The 80-node Gauss-Hermite rule ships as a table equal, bit for bit, to
+the 80-point Gauss rule of numpy.polynomial.hermite_e, so a solve runs
+no eigensolver.
 Nothing is drawn, so both roots run to tight tolerances.
 
 The module ships the calibrated table for the five standard targets
@@ -48,7 +51,6 @@ SOLVE_TOLERANCE = 1e-10
 _MAX_BISECT_ITER = 60
 # 80 nodes x 2,000 log-time points agree with 200 x 8,000 to 1e-12 on
 # every table entry
-_HERMITE_NODES = 80
 _LOG_TIME_POINTS = 2_000
 _LOG_TIME_HALF_WIDTH = 45.0
 # exp(x) is exactly 0 in double precision for x <= -745.14. numpy's
@@ -69,6 +71,55 @@ MAX_ABS_BETA_C = 30.0
 # units with slope -0.4 to -0.5 at the table's beta_c values, so the
 # root is good to about 3e-13
 _SCORE_TOLERANCE = 1e-13
+# The 80-node Gauss-Hermite rule for the weight exp(-x^2 / 2): its 40
+# positive nodes, ascending, and their weights, the repr of the upper
+# half of the 80-point Gauss rule of numpy.polynomial.hermite_e under
+# numpy 2.4.6. numpy solves an 80 x 80 eigenproblem through LAPACK for
+# it and then makes the rule exactly symmetric, so the lower half is
+# this one mirrored; shipped as a table, the rule costs a solve no
+# eigensolver
+_HERMITE_HALF = (
+    (0.17507520287868977, 0.34483597144698247),
+    (0.5252923028962614, 0.3051518554414838),
+    (0.8757098165407152, 0.2389143673497496),
+    (1.2264624605193566, 0.16543574028239674),
+    (1.5776866299193864, 0.10125874846185895),
+    (1.9295211039618916, 0.05474222698003797),
+    (2.2821077873743927, 0.026114515721998566),
+    (2.635592499364343, 0.010980009825915339),
+    (2.990125823654362, 0.004063314918672402),
+    (3.3458640349965227, 0.001321324744465556),
+    (3.7029701201253284, 0.0003768566414342569),
+    (4.061614914383135, 9.40698267757164e-05),
+    (4.421978379455282, 2.0501067981280252e-05),
+    (4.784251053052639, 3.890112074424507e-06),
+    (5.14863570834112, 6.407144842054688e-07),
+    (5.515349269940765, 9.127989041893801e-08),
+    (5.884625045093542, 1.1204705569157963e-08),
+    (6.256715344097385, 1.179886284230912e-09),
+    (6.6318945846959005, 1.0606205617309286e-10),
+    (7.01046300276626, 8.093939799160362e-12),
+    (7.3927511292266574, 5.21116459097709e-13),
+    (7.779125244824911, 2.810778919929695e-14),
+    (8.169994096743753, 1.2599880637144734e-15),
+    (8.565817263535896, 4.651577529556795e-17),
+    (8.967115703076805, 1.3995805517539382e-18),
+    (9.374485236493317, 3.3910582381832755e-20),
+    (9.788614049650553, 6.524433363250139e-22),
+    (10.210305800835217, 9.806326291897894e-24),
+    (10.640510727646248, 1.1292760033744725e-25),
+    (11.080368463136367, 9.734678307119606e-28),
+    (11.53126850768007, 6.106315846351425e-30),
+    (11.994938265319716, 2.6912351297758044e-32),
+    (12.47357593411926, 7.972194482448301e-35),
+    (12.970060141888174, 1.4983800481305582e-37),
+    (13.488299320645114, 1.6535093863160894e-40),
+    (14.033856524353233, 9.605950892956441e-44),
+    (14.61517738833839, 2.4949636338920195e-47),
+    (15.2463485845499, 2.2162939678575877e-51),
+    (15.954724894673237, 4.0477402591584685e-56),
+    (16.811977874859206, 4.180096531302438e-62),
+)
 
 
 @dataclass
@@ -126,13 +177,13 @@ def lookup_calibration(target_hr):
 def _quadrature():
     """Normal nodes and weights (summing to 1), log-time grid and its step.
 
-    numpy.polynomial is imported here, on the first oracle call, so
-    importing the package does not pay for it. The arrays are
-    read-only, since every solve shares them.
+    The nodes and weights are _HERMITE_HALF mirrored about 0, as
+    numpy mirrors its own, so they equal numpy's 80-point rule bit for
+    bit. The arrays are read-only, since every solve shares them.
     """
-    from numpy.polynomial.hermite_e import hermegauss
-
-    nodes, weights = hermegauss(_HERMITE_NODES)
+    half_nodes, half_weights = np.array(_HERMITE_HALF).T
+    nodes = np.concatenate((-half_nodes[::-1], half_nodes))
+    weights = np.concatenate((half_weights[::-1], half_weights))
     log_times, step = np.linspace(
         -_LOG_TIME_HALF_WIDTH, _LOG_TIME_HALF_WIDTH, _LOG_TIME_POINTS,
         retstep=True,
@@ -318,9 +369,11 @@ def calibrate_beta_c(target_beta_m1):
     Marginal effects are attenuated relative to conditional ones here,
     so the root lies in [target, 2 target + 0.5], over which the oracle
     is monotone increasing in beta_c; the bracket is cut at the oracle's
-    domain bound MAX_ABS_BETA_C. Each evaluation goes through the
-    module attribute marginal_hr_oracle, so a wrapper installed there
-    sees every call.
+    domain bound MAX_ABS_BETA_C. A cut bracket is checked first: a
+    target above the marginal effect at the bound raises ValueError
+    naming that effect, the most the domain reaches. Each evaluation
+    goes through the module attribute marginal_hr_oracle, so a wrapper
+    installed there sees every call.
     """
     if target_beta_m1 < 0:
         raise ValueError("target must be nonnegative")
@@ -330,7 +383,16 @@ def calibrate_beta_c(target_beta_m1):
     def gap(beta_c):
         return marginal_hr_oracle(beta_c, 1) - target_beta_m1
 
-    lo, hi = target_beta_m1, min(2.0 * target_beta_m1 + 0.5, MAX_ABS_BETA_C)
+    lo, hi = target_beta_m1, 2.0 * target_beta_m1 + 0.5
+    if hi > MAX_ABS_BETA_C:
+        hi = MAX_ABS_BETA_C
+        reach = marginal_hr_oracle(hi, 1)
+        if target_beta_m1 > reach:
+            raise ValueError(
+                f"target {target_beta_m1} needs a beta_c outside the oracle's "
+                f"domain |beta_c| <= {MAX_ABS_BETA_C}, within which the marginal "
+                f"log HR reaches at most {reach:.6g}"
+            )
     beta_c, residual = _bisect(gap, lo, hi, SOLVE_TOLERANCE)
     return CalibrationEntry(
         beta_m1=target_beta_m1,

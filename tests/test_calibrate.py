@@ -312,6 +312,36 @@ def test_shared_arrays_are_read_only():
             a *= 1.0
 
 
+def test_shipped_hermite_rule_equals_hermegauss():
+    # the rule is a table so that a solve runs no eigensolver; it must
+    # stay the rule numpy computes, bit for bit
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(80)
+    half_nodes, half_weights = np.array(calibrate._HERMITE_HALF).T
+    assert half_nodes.tobytes() == nodes[40:].tobytes()
+    assert half_weights.tobytes() == weights[40:].tobytes()
+    got_nodes, got_weights, _, _ = calibrate._quadrature()
+    assert got_nodes.tobytes() == nodes.tobytes()
+    assert got_weights.tobytes() == (weights / weights.sum()).tobytes()
+
+
+def test_hermite_rule_is_exactly_symmetric():
+    nodes, weights, _, _ = calibrate._quadrature()
+    assert np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_hermite_rule_reproduces_normal_moments(k):
+    # E[X^(2k)] = (2k - 1)!! for X ~ N(0, 1), which an 80-node rule
+    # integrates exactly up to degree 159
+    nodes, weights, _, _ = calibrate._quadrature()
+    moment = np.prod(np.arange(1, 2 * k, 2), dtype=float)
+    assert np.sum(weights * nodes ** (2 * k)) == pytest.approx(moment, rel=1e-12)
+
+
 def test_oracle_null():
     assert abs(marginal_hr_oracle(0.0, 1)) <= 1e-10
     assert abs(marginal_hr_oracle(0.0, 2)) <= 1e-10
@@ -378,6 +408,26 @@ def test_target_whose_bracket_end_leaves_the_domain_still_solves():
     entry = calibrate_beta_c(24.75)
     assert entry.beta_c <= calibrate.MAX_ABS_BETA_C
     assert abs(entry.achieved_beta_m1 - 24.75) <= calibrate.SOLVE_TOLERANCE
+
+
+@pytest.mark.parametrize("target", [29.0, 31.0])
+def test_target_beyond_the_oracle_reach_names_the_reachable_maximum(target):
+    # the marginal effect at the domain bound is 28.4864; a target
+    # between it and the bound left a bracket that did not straddle the
+    # root, and one past the bound still reads as a domain error
+    reach = marginal_hr_oracle(calibrate.MAX_ABS_BETA_C, 1)
+    assert reach == pytest.approx(28.4864, abs=1e-4)
+    with pytest.raises(ValueError, match="outside the oracle's domain") as info:
+        calibrate_beta_c(target)
+    assert f"at most {reach:.6g}" in str(info.value)
+    assert "straddle" not in str(info.value)
+
+
+def test_target_at_the_oracle_reach_solves_to_the_bound():
+    reach = marginal_hr_oracle(calibrate.MAX_ABS_BETA_C, 1)
+    entry = calibrate_beta_c(reach)
+    assert entry.beta_c == calibrate.MAX_ABS_BETA_C
+    assert entry.achieved_beta_m1 == reach
 
 
 def test_calibration_deterministic():

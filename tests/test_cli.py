@@ -98,15 +98,16 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_numpy_polynomial():
-    # the oracle's quadrature nodes come from numpy.polynomial, which
-    # takes milliseconds to import; it loads on the first oracle call
+    # the oracle's Gauss-Hermite rule ships as a table, so neither the
+    # import nor a calibration solve loads numpy.polynomial, whose
+    # hermegauss would run a LAPACK eigensolve
     code = (
-        "import sys, recurweight.cli\n"
+        "import math, sys, recurweight.cli\n"
         "before = 'numpy.polynomial' in sys.modules\n"
-        "recurweight.cli.calibrate_beta_c(0.1)\n"
+        "recurweight.cli.calibrate_beta_c(math.log(2.0))\n"
         "print(before, 'numpy.polynomial' in sys.modules)"
     )
-    assert _fresh_interpreter(code) == "False True"
+    assert _fresh_interpreter(code) == "False False"
 
 
 def test_simulate_csv_schema(tmp_path):

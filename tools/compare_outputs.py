@@ -11,16 +11,16 @@ For every command the exit code, stdout, stderr and the bytes of its
 differs, names it and what differs, and exits 1; it exits 0 when every
 command matches.
 
-The battery has 54 commands: `generate` at n = 2, 16,384, 32,768, 40,000
+The battery has 55 commands: `generate` at n = 2, 16,384, 32,768, 40,000
 and 10^6 (one block of simgen.GEN_BLOCK_ROWS rows, partial or full, two
 full blocks, and three or 62 with a partial last one) in all three
 scenarios, with tau unset and 0.5; `simulate` in each format with tau
 unset and 0.5; `calibrate --targets 2` in each format; small studies
 at a null, an off-table and two targets and with --recalibrate;
-`calibrate` at the five table targets; `generate` at an off-table
-target; five usage errors; and `--help` for the program and each
-subcommand. Both trees take about 45 s together on a 2-core x86-64
-host.
+`calibrate` at the five table targets, as text and as full-precision
+json; `generate` at an off-table target; five usage errors; and
+`--help` for the program and each subcommand. Both trees take about
+45 s together on a 2-core x86-64 host.
 """
 
 import argparse
@@ -62,7 +62,8 @@ def battery():
     for targets in ("1", "1.7", "1.5,2"):
         commands.append([*study, "--target-hr", targets])
     commands.append([*study, "--target-hr", "2", "--recalibrate"])
-    commands.append(["calibrate", "--targets", "1,1.5,2,2.5,3"])
+    for fmt in ([], ["--format", "json"]):
+        commands.append(["calibrate", "--targets", "1,1.5,2,2.5,3", *fmt])
     commands.append(["generate", "--n", "2000", "--target-hr", "1.7", "--seed", "7"])
     # usage errors, each exit 2
     commands += [["simulate", "--prevalence", "0.3"],
