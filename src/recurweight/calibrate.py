@@ -280,9 +280,10 @@ def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
     the generator's fixed BETA1, BASELINE_RATE and DRIFT_SD.
     On the log-time grid dt = t ds, so U is a sum of
     [t f1 S0 - e^beta t f0 S1] / (S0 + e^beta S1) over the points where
-    S0 + S1 > 0 (both underflow at large t). Raises ValueError when no
-    grid point carries mass or U is not finite, as happens for a
-    non-finite beta_c, and when |beta_c| > MAX_ABS_BETA_C.
+    S0 + S1 > 0 (both underflow at large t); a point whose denominator
+    underflows adds 0. Raises ValueError when no grid point carries mass
+    or U is not finite, as happens for a non-finite beta_c, and when
+    |beta_c| > MAX_ABS_BETA_C.
     """
     if event not in (1, 2):
         raise ValueError("event must be 1 or 2")
@@ -299,7 +300,11 @@ def marginal_hr_oracle(beta_c, event, scenario=ORACLE_SCENARIO):
 
     def negative_score(beta):
         eb = np.exp(beta)
-        score = step * np.sum((tf1 * s0 - eb * tf0 * s1) / (s0 + eb * s1))
+        denominator = s0 + eb * s1
+        terms = (tf1 * s0 - eb * tf0 * s1) / denominator
+        # where S0 = 0 and e^beta S1 underflows, the term, -t f0, is 0 too
+        terms[denominator == 0] = 0.0
+        score = step * np.sum(terms)
         if not np.isfinite(score):
             raise ValueError(f"limiting Cox score is not finite at beta_c={beta_c}")
         return -score

@@ -221,10 +221,6 @@ def parse_args(argv):
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)

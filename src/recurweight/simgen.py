@@ -29,7 +29,6 @@ other code reads a stream state.
 """
 
 import enum
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -268,7 +267,7 @@ def gen_potential_outcomes(config, stream):
     return out
 
 
-DATASET_CSV_HEADER = "x1,x2,z1,z2,w1,w2,delta1,delta2"
+DATASET_CSV_HEADER = ",".join(SUBJECT_DTYPE.names)
 # rows formatted per write: bounds the per-chunk byte matrices (120 slots
 # x rows, 0.5 MB with the selection mask) and the kernel's arrays over the
 # chunk's 4 x rows float values; 4,096 rows wrote a 10^6-row cohort about
@@ -396,21 +395,14 @@ def _shortest_digits(v):
     return digits, e10, ndigits, certified
 
 
-# A row is each field's slots, then its separator. A float field is 27
-# slots: sign, "0", 4 integer digits, ".", 3 zeros, 17 digits; the longest
-# repr, 24 characters, fits. A flag is 1 slot, so a row is 120 slots.
+# A row is two halves of one shape, x1 x2 z1 z2 and w1 w2 delta1 delta2:
+# two float fields, then two flags, each field followed by its separator.
+# A float field is 27 slots: sign, "0", 4 integer digits, ".", 3 zeros,
+# 17 digits; the longest repr, 24 characters, fits. A flag is 1 slot, so
+# a half is 60 slots.
+_HALVES = (SUBJECT_DTYPE.names[:4], SUBJECT_DTYPE.names[4:])
 _FLOAT_SLOTS = 27
-_NAMES = DATASET_CSV_HEADER.split(",")
-_WIDTH = {name: _FLOAT_SLOTS if SUBJECT_DTYPE[name] == float else 1 for name in _NAMES}
-_START = dict(zip(_NAMES, itertools.accumulate((_WIDTH[n] + 1 for n in _NAMES), initial=0)))
-_ROW_SLOTS = sum(_WIDTH.values()) + len(_NAMES)
-_FLAGS = [name for name in _NAMES if _WIDTH[name] == 1]
-# x1 opens the row, and the float fields are two pairs, x1/x2 and w1/w2,
-# whose fields lie the same number of slots apart, so one strided view of
-# the slot matrix holds all four blocks
-_FLOAT_PAIRS = (("x1", "x2"), ("w1", "w2"))
-_PAIR_STEP = _START["w1"] - _START["x1"]
-_FIELD_STEP = _START["x2"] - _START["x1"]
+_FLOATS_END = 2 * (_FLOAT_SLOTS + 1)
 _PLACE = np.arange(17, dtype=np.int8)[:, None]
 _ZERO_PLACE = -2 - _PLACE[:3]
 
@@ -471,33 +463,34 @@ def write_dataset_csv(blocks, fh):
     to the same bits; indicators and treatments are written as 0/1. Each
     chunk of CSV_CHUNK_ROWS rows of a block copies its four float columns
     into one buffer, one numpy kernel call computes their digits and one
-    fill writes them through a strided view of the chunk's slots x rows byte
-    matrix and selection mask; a value the kernel cannot certify (zero,
-    outside [1e-4, 1e4), a near tie) is written by repr. The separators are
-    written once, and each chunk is compacted in row order into one write.
+    fill writes them through a reshaped view of the chunk's 2 halves x 60
+    slots x rows byte matrix and selection mask; a value the kernel cannot
+    certify (zero, outside [1e-4, 1e4), a near tie) is written by repr. The
+    separators are written once, and each chunk is compacted in row order
+    into one write.
     """
     fh.write(DATASET_CSV_HEADER + "\n")
     rows = CSV_CHUNK_ROWS
-    buf = np.empty((_ROW_SLOTS, rows), dtype=np.uint8)
-    mask = np.ones((_ROW_SLOTS, rows), dtype=bool)
-    for name in _NAMES:
-        buf[_START[name] + _WIDTH[name]] = ord(",")
-    buf[-1] = ord("\n")
-    step = buf.strides[0]
-    shape = (len(_FLOAT_PAIRS), 2, _FLOAT_SLOTS, rows)
-    strides = (_PAIR_STEP * step, _FIELD_STEP * step, step, 1)
-    fields, field_mask = (np.lib.stride_tricks.as_strided(a, shape, strides)
+    buf = np.empty((2, _FLOATS_END + 4, rows), dtype=np.uint8)
+    mask = np.ones_like(buf, dtype=bool)
+    # the separators after the float fields, then after the flags
+    buf[:, _FLOAT_SLOTS:_FLOATS_END:_FLOAT_SLOTS + 1] = ord(",")
+    buf[:, _FLOATS_END + 1::2] = ord(",")
+    buf[-1, -1] = ord("\n")
+    fields, field_mask = (a[:, :_FLOATS_END].reshape(2, 2, -1, rows)[:, :, :_FLOAT_SLOTS]
                           for a in (buf, mask))
+    flags = buf[:, _FLOATS_END::2]
+    slots, slot_mask = buf.reshape(-1, rows), mask.reshape(-1, rows)
     values = np.empty(4 * rows)
     for block in blocks:
         for start in range(0, len(block), rows):
             part = block[start:start + rows]
             n = len(part)
-            v = values[:4 * n].reshape(len(_FLOAT_PAIRS), 2, n)
-            for pair, names in zip(v, _FLOAT_PAIRS):
-                for field, name in zip(pair, names):
+            v = values[:4 * n].reshape(2, 2, n)
+            for names, pair, pair_flags in zip(_HALVES, v, flags):
+                for field, name in zip(pair, names[:2]):
                     field[:] = part[name]
+                for flag, name in zip(pair_flags, names[2:]):
+                    np.add(part[name], ord("0"), out=flag[:n], casting="unsafe")
             _fill_float(fields[..., :n], field_mask[..., :n], v)
-            for name in _FLAGS:
-                np.add(part[name], ord("0"), out=buf[_START[name], :n], casting="unsafe")
-            fh.write(str(buf[:, :n].T[mask[:, :n].T], "ascii"))
+            fh.write(str(slots[:, :n].T[slot_mask[:, :n].T], "ascii"))

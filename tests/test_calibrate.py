@@ -146,6 +146,16 @@ def test_oracle_refuses_beta_c_beyond_its_domain(beta_c, event):
         marginal_hr_oracle(beta_c, event)
 
 
+@pytest.mark.parametrize("event", [1, 2])
+def test_oracle_mirrors_its_positive_half_on_the_negative_half(event):
+    # with half the cohort treated, swapping the arms maps beta_c to
+    # -beta_c; from -2.25 down, grid points with S0 = 0 and an e^beta S1
+    # that underflows must add 0 to the score, not 0/0
+    for beta_c in -np.arange(1, 121) / 4:
+        got = marginal_hr_oracle(beta_c, event)
+        assert got == pytest.approx(-marginal_hr_oracle(-beta_c, event), abs=2e-7), beta_c
+
+
 @pytest.mark.parametrize("scenario", [1, 3])
 @pytest.mark.parametrize("event", [1, 2])
 @pytest.mark.parametrize("beta_c", [0.0, 0.4599, 0.783, 1.2331, -1.0, 30.0])

@@ -279,8 +279,10 @@ def test_generate_memory_does_not_grow_with_the_cohort(tmp_path):
 
 
 def test_chunked_dump_equals_the_reference_on_a_cohort(monkeypatch):
-    # 1,000 rows are not a multiple of the 96-row chunks
+    # 1,000 rows are not a multiple of the 96-row chunks, and 97 rows end
+    # in a one-row chunk
     monkeypatch.setattr(simgen, "CSV_CHUNK_ROWS", 96)
     ds = gen_dataset(config_for(2, 0.5, 1_000, beta_c=0.46, tau=0.5), RngStream(11))
-    assert written(write_dataset_csv, (ds,)) == written(reference_write_dataset_csv, ds)
+    for part in (ds, ds[:97]):
+        assert written(write_dataset_csv, (part,)) == written(reference_write_dataset_csv, part)
     assert written(write_dataset_csv, (ds[:0],)) == DATASET_CSV_HEADER + "\n"

@@ -11,9 +11,10 @@ For every command the exit code, stdout, stderr and the bytes of its
 differs, names it and what differs, and exits 1; it exits 0 when every
 command matches.
 
-The battery has 55 commands: `generate` at n = 2, 16,384, 32,768, 40,000
-and 10^6 (one block of simgen.GEN_BLOCK_ROWS rows, partial or full, two
-full blocks, and three or 62 with a partial last one) in all three
+The battery has 61 commands: `generate` at n = 2, 2,049, 16,384, 32,768,
+40,000 and 10^6 (one block of simgen.GEN_BLOCK_ROWS rows, partial or
+full, two full blocks, and three or 62 with a partial last one; 2,049
+rows end in a one-row chunk of simgen.CSV_CHUNK_ROWS) in all three
 scenarios, with tau unset and 0.5; `simulate` in each format with tau
 unset and 0.5; `calibrate --targets 2` in each format; small studies
 at a null, an off-table and two targets and with --recalibrate;
@@ -46,7 +47,7 @@ def battery():
     commands = []
     for scenario in SCENARIOS:
         for tau in TAUS:
-            for n in (2, 16_384, 32_768, 40_000, 1_000_000):
+            for n in (2, 2_049, 16_384, 32_768, 40_000, 1_000_000):
                 out = ["--out", OUT] if n == 1_000_000 else []
                 commands.append(["generate", "--scenario", scenario, "--n", str(n),
                                  "--target-hr", "2", "--seed", "7", *_tau(tau), *out])
