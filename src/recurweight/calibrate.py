@@ -23,7 +23,9 @@ the beta_c whose first-event marginal effect hits a requested target.
 The 80-node Gauss-Hermite rule ships as a table equal, bit for bit, to
 the 80-point Gauss rule of numpy.polynomial.hermite_e, so a solve runs
 no eigensolver.
-Nothing is drawn, so both roots run to tight tolerances.
+Nothing is drawn, so both roots run to tight tolerances. The only
+arrays kept between calls are the read-only rule, grid and control
+arm; nothing a call writes outlives it, so threads may solve at once.
 
 The module ships the calibrated table for the five standard targets
 (marginal HR 1 to 3) so simulation runs do not pay the solve; passing
@@ -122,14 +124,15 @@ _HERMITE_HALF = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationEntry:
     """One row of the target-to-conditional mapping.
 
     beta_m1 is the requested first-event marginal log HR, beta_c the
     conditional value that induces it, beta_m2 the second-event
     marginal log HR implied under covariate drift, achieved_beta_m1
-    the oracle value actually reached at beta_c.
+    the oracle value actually reached at beta_c. Frozen, since
+    lookup_calibration hands out the shipped table's own entries.
     """
 
     beta_m1: float
@@ -168,11 +171,6 @@ def lookup_calibration(target_hr):
     return None
 
 
-# Two kinds of cached arrays: _quadrature and _control_arm hand out
-# read-only arrays that every caller shares, and _scratch holds the one
-# writable set, private to _survival_terms.
-
-
 @lru_cache(maxsize=1)
 def _quadrature():
     """Normal nodes and weights (summing to 1), log-time grid and its step.
@@ -192,20 +190,6 @@ def _quadrature():
     for a in arrays:
         a.flags.writeable = False
     return (*arrays, step)
-
-
-@lru_cache(maxsize=2)
-def _scratch(n_rates):
-    """Work arrays of _survival_terms: one (n_rates, _TILE_COLUMNS) tile.
-
-    They are kept between calls, so a process faults in a tile-sized
-    set (0.35 MB at 80 nodes) once, not on every call after the
-    allocator has trimmed it. A tile is narrow enough for its three
-    arrays to stay in L2 through the nine passes over them; a
-    full-width set (2.7 MB for 80 x 2,000) would stream through memory.
-    """
-    shape = (n_rates, _TILE_COLUMNS)
-    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
 
 
 def _survival_terms(times, rates, weights):
@@ -230,14 +214,15 @@ def _survival_terms(times, rates, weights):
     product finite, so inf and nan lanes still go through exp and the
     product (inf * 0 is nan). Nothing assumes the times are sorted.
 
-    The rate-by-time products, live-lane mask and exp terms of a tile
-    are written into the scratch arrays, which every call reuses, so
-    the function is not re-entrant. That is safe because the package
-    runs in parallel only across processes. Both results are fresh
-    arrays.
+    Each call makes its own three (len(rates), _TILE_COLUMNS) work
+    arrays, 0.35 MB at 80 nodes: narrow enough to stay in L2 through
+    the nine passes over a tile, where a full-width set (2.7 MB for
+    80 x 2,000) would stream through memory. Nothing written outlives
+    the call, so threads may call it at once.
     """
     s, tf = np.zeros(len(times)), np.zeros(len(times))
-    u_tile, live_tile, e_tile = _scratch(len(rates))
+    shape = (len(rates), _TILE_COLUMNS)
+    u_tile, live_tile, e_tile = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
     low, high = rates.min(), rates.max()
     for lo in range(0, len(times), _TILE_COLUMNS):
         t = times[lo:lo + _TILE_COLUMNS]

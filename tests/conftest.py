@@ -11,12 +11,18 @@ The IRLS sums of `statcore.fit_logistic` go through BLAS, and
 OpenBLAS picks its kernel set (SkylakeX, Haswell, ...) at load time,
 so a value pinned past those sums is recorded per kernel set in the
 same way.
+
+A last fixture runs one piece of work on two threads at once, for the
+tests that hold library calls to their serial bits under threads.
 """
 
 import ctypes
 import ctypes.util
 import glob
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -80,3 +86,31 @@ def pinned_by_openblas_core():
     """Pick, from {OpenBLAS kernel set: value}, the value this process must produce."""
     core = openblas_corename()
     return _picker(core, f"no value recorded for OpenBLAS's {core} kernels")
+
+
+@pytest.fixture
+def two_threads():
+    """run(work) returns [work(1), work(-1)], called on two threads at once.
+
+    The step lets the threads take their inputs in opposite orders, so
+    they seldom compute the same thing at the same time. Both start
+    together, and the interpreter switches between them every 10 us
+    instead of every 5 ms, so their calls interleave finely.
+    """
+
+    def run(work):
+        start = threading.Barrier(2)
+
+        def started(step):
+            start.wait(timeout=60)
+            return work(step)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                return list(pool.map(started, (1, -1)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    return run

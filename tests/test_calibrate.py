@@ -7,15 +7,15 @@ The reference oracle below is the plain form: exp on every lane of the
 full rate-by-time matrix and both arms recomputed on every call. The
 library takes the time grid in column tiles, skips the tiles and lanes
 whose exp is 0, computes the control arm once per covariate law and
-reuses one tile of work arrays per number of nodes; every comparison
-with the reference is exact equality, also in child processes on
-other OpenBLAS kernel sets.
+makes one tile of work arrays per call; every comparison with the
+reference is exact equality, also in child processes on other
+OpenBLAS kernel sets and from two threads at once.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +192,9 @@ def test_survival_terms_equal_the_plain_form_lane_by_lane():
         assert a.tobytes() == b.tobytes()
 
 
-def test_survival_terms_results_do_not_alias_the_scratch():
-    # the work arrays are reused by every call of their shape, so what
-    # one call returns must survive a call at another beta_c and a call
-    # on another shape
+def test_survival_terms_results_survive_later_calls():
+    # what one call returns must survive a call at another beta_c and a
+    # call on another shape
     _, weights, times, _ = calibrate._quadrature()
     rates = reference_rates(1)
     got = calibrate._survival_terms(times * np.exp(0.4), rates, weights)
@@ -204,13 +203,10 @@ def test_survival_terms_results_do_not_alias_the_scratch():
     one = np.ones(1)
     calibrate._survival_terms(np.linspace(0.5, 800.0, 12), one, one)
     assert [a.tobytes() for a in got] == kept
-    for a in got:
-        for work in calibrate._scratch(len(rates)):
-            assert not np.shares_memory(a, work)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
-def test_survival_terms_with_the_cap_crossing_on_a_tile_boundary(order):
+def test_survival_terms_with_the_cap_crossing_on_a_tile_boundary(order, monkeypatch):
     # the smallest rate reaches the cap exactly at column 512, the start
     # of the third 256-column tile: the tile before the crossing still
     # has a live lane at its edge, and the tiles past it are skipped whole
@@ -229,14 +225,24 @@ def test_survival_terms_with_the_cap_crossing_on_a_tile_boundary(order):
     assert low * times[2 * width - 1] < cap <= low * times[2 * width]
     if order == "descending":
         times = times[::-1].copy()
-    got = calibrate._survival_terms(times, rates, weights)
+    # one exp call per evaluated tile: the two tiles below the crossing
+    exps = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, *args, **kwargs):
+            exps.append(args[0].shape)
+            return np.exp(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibrate, "np", CountingNumpy())
+        got = calibrate._survival_terms(times, rates, weights)
+    assert exps == [(len(rates), width)] * 2
     want = reference_survival_terms(times, rates, weights)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
-    if order == "ascending":
-        # the last tile evaluated is the one ending at the crossing; an
-        # evaluated tile past the cap would have left no live lane
-        assert calibrate._scratch(len(rates))[1][:, -1].any()
 
 
 def test_survival_terms_keep_nan_where_a_tile_past_the_cap_overflows():
@@ -298,18 +304,19 @@ def test_survival_terms_equal_the_plain_form_on_each_openblas_kernel(core):
     assert mismatches == [], f"asked for {core}, ran on {ran_on}"
 
 
-def test_warm_oracle_call_allocates_no_work_arrays():
-    # the three 80 x 256 tile arrays (0.35 MB) outlive a call, so a warm
-    # call allocates only vectors over the 2,000-point grid (182 kB
-    # measured); allocating the tile per call would pass 0.39 MB
+def test_warm_oracle_calls_fault_in_less_than_one_tile():
+    # each call makes its three 80 x 256 work arrays (0.35 MB, 85 pages
+    # of 4 KiB) and frees them; the allocator hands the same memory to
+    # the next call, so 20 warm calls fault in fewer pages than one
+    # tile's worth (0 measured)
+    resource = pytest.importorskip("resource")
+    tile_bytes = len(reference_rates(1)) * calibrate._TILE_COLUMNS * (8 + 1 + 8)
+    tile_pages = -(-tile_bytes // resource.getpagesize())
     marginal_hr_oracle(0.7, 1)
-    tracemalloc.start()
-    try:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
         marginal_hr_oracle(0.7, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 300_000
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < tile_pages
 
 
 def test_shared_arrays_are_read_only():
@@ -438,6 +445,30 @@ def test_target_at_the_oracle_reach_solves_to_the_bound():
     entry = calibrate_beta_c(reach)
     assert entry.beta_c == calibrate.MAX_ABS_BETA_C
     assert entry.achieved_beta_m1 == reach
+
+
+def test_oracle_and_solve_give_the_serial_bits_from_two_threads(two_threads):
+    # nothing a call writes outlives it, so two threads at once get the
+    # values of serial calls
+    calls = [(beta_c, event) for event in (1, 2) for beta_c in np.arange(1, 31) / 10]
+    targets = [0.4055, LN2, 1.0986]
+
+    def work(step):
+        values = [marginal_hr_oracle(beta_c, event) for beta_c, event in calls[::step]]
+        entries = [calibrate_beta_c(target) for target in targets[::step]]
+        return values[::step], entries[::step]
+
+    serial = work(1)
+    assert two_threads(work) == [serial, serial]
+
+
+def test_shipped_entries_are_frozen():
+    # lookup_calibration hands out the table's own entries, so a write
+    # into one would change every later lookup and every run using it
+    entry = lookup_calibration(2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.beta_c = 0.9
+    assert lookup_calibration(2.0).beta_c == 0.7830
 
 
 def test_calibration_deterministic():

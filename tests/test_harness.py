@@ -114,6 +114,19 @@ def test_replicate_deterministic():
     assert a.failure == b.failure
 
 
+def test_replicates_give_the_serial_bits_from_two_threads(two_threads):
+    # a replicate keeps no state between calls, so two threads at once
+    # get the rows of serial calls
+    cfg = config_for(3, 0.25, 2_000, beta_c=0.783, tau=1.0)
+
+    def rows(step):
+        results = [run_replicate(cfg, 42, i) for i in range(16)[::step]]
+        return [r.row.tobytes() for r in results[::step]]
+
+    serial = rows(1)
+    assert two_threads(rows) == [serial, serial]
+
+
 def test_replicate_indices_give_distinct_estimates():
     cfg = config_for(1, 0.25, 1_500)
     estimates = {tuple(run_replicate(cfg, 42, i).row["log_hr"]) for i in range(5)}

@@ -11,7 +11,7 @@ For every command the exit code, stdout, stderr and the bytes of its
 differs, names it and what differs, and exits 1; it exits 0 when every
 command matches.
 
-The battery has 61 commands: `generate` at n = 2, 2,049, 16,384, 32,768,
+The battery has 63 commands: `generate` at n = 2, 2,049, 16,384, 32,768,
 40,000 and 10^6 (one block of simgen.GEN_BLOCK_ROWS rows, partial or
 full, two full blocks, and three or 62 with a partial last one; 2,049
 rows end in a one-row chunk of simgen.CSV_CHUNK_ROWS) in all three
@@ -19,9 +19,11 @@ scenarios, with tau unset and 0.5; `simulate` in each format with tau
 unset and 0.5; `calibrate --targets 2` in each format; small studies
 at a null, an off-table and two targets and with --recalibrate;
 `calibrate` at the five table targets, as text and as full-precision
-json; `generate` at an off-table target; five usage errors; and
-`--help` for the program and each subcommand. Both trees take about
-45 s together on a 2-core x86-64 host.
+json, at 3 x 10^6 (its bracket is cut at the oracle's domain bound)
+and at 10^13 (beyond the oracle's reach, exit 1); `generate` at an
+off-table target; five usage errors; and `--help` for the program and
+each subcommand. Both trees take about 55 s together on a 2-core
+x86-64 host.
 """
 
 import argparse
@@ -65,6 +67,8 @@ def battery():
     commands.append([*study, "--target-hr", "2", "--recalibrate"])
     for fmt in ([], ["--format", "json"]):
         commands.append(["calibrate", "--targets", "1,1.5,2,2.5,3", *fmt])
+    for target in ("3e6", "1e13"):
+        commands.append(["calibrate", "--targets", target])
     commands.append(["generate", "--n", "2000", "--target-hr", "1.7", "--seed", "7"])
     # usage errors, each exit 2
     commands += [["simulate", "--prevalence", "0.3"],
