@@ -58,7 +58,7 @@ ALPHA0_BY_PREVALENCE = {0.25: -1.1392, 0.5: 0.0}
 GAMMA0_BY_PREVALENCE = {0.25: -1.7233, 0.5: -0.1000}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """What a study varies across its cells; the rest of the design is the
     module constants above. prevalence picks the treatment intercepts."""
@@ -70,7 +70,7 @@ class ScenarioConfig:
     tau: Optional[float] = None
 
     def __post_init__(self):
-        self.scenario = Scenario(self.scenario)
+        object.__setattr__(self, "scenario", Scenario(self.scenario))
         if self.prevalence not in ALPHA0_BY_PREVALENCE:
             raise ValueError(f"prevalence must be one of {sorted(ALPHA0_BY_PREVALENCE)}")
         if not np.isfinite(self.beta_c):

@@ -1,10 +1,12 @@
 """Release gate: end-to-end checks at full scale.
 
-Each test pins one acceptance criterion. Unlike the unit suites these
-run the whole pipeline at the scales the package is meant for (200
-replicates of n = 10,000 per study; the five-target calibration
-solve), so the file takes seconds rather than milliseconds, dominated
-by the studies.
+Each test pins one acceptance criterion at the scales the package is
+meant for: the full studies (200 replicates of n = 10,000 each; the
+censoring test runs one per cutoff), the five-target calibration
+command, and the censored fractions at n = 100,000 that justify the
+censoring test's two cutoffs. A property of one estimator, weight or
+generator step is checked once, in its unit suite. The file takes
+seconds rather than milliseconds, dominated by the studies.
 
 Everything here is deterministic: one frozen master seed drives the
 Monte Carlo runs, and the calibration oracle is exact.
@@ -15,23 +17,13 @@ import dataclasses
 import io
 from contextlib import redirect_stdout
 
-import numpy as np
 import numpy.testing as npt
-import pytest
 
 from recurweight.calibrate import CALIBRATION_TABLE, lookup_calibration
 from recurweight.cli import main
-from recurweight.coxfit import (
-    MonotoneLikelihoodError,
-    SurvivalSample,
-    fit_weighted_cox,
-)
 from recurweight.harness import run_simulation
-from recurweight.iptw import build_treatment_weights
 from recurweight.simgen import config_for, gen_dataset
-from recurweight.statcore import RngStream, fit_logistic
-
-from cox_reference import partial_loglik
+from recurweight.statcore import RngStream
 
 SEED = 20250801
 REPS = 200
@@ -124,96 +116,10 @@ def test_censoring_fractions():
                      beta_c=truth.beta_c, tau=1.0)
     ds = gen_dataset(cfg, RngStream(SEED, 0))
     frac1 = 1.0 - ds["delta1"].mean()
-    assert 0.25 <= frac1 <= 0.35, f"frac(delta1=0) = {frac1:.4f} at tau=1"
+    assert 0.25 < frac1 < 0.35, f"frac(delta1=0) = {frac1:.4f} at tau=1"
 
     cfg = dataclasses.replace(cfg, tau=0.25)
     ds = gen_dataset(cfg, RngStream(SEED, 0))
     frac2 = 1.0 - ds["delta2"].mean()
-    assert 0.85 <= frac2 <= 0.95, f"frac(delta2=0) = {frac2:.4f} at tau=0.25"
+    assert 0.85 < frac2 < 0.95, f"frac(delta2=0) = {frac2:.4f} at tau=0.25"
 
-
-class TestEstimatorOracles:
-    def test_cox_matches_grid_search(self):
-        # two-stage grid (coarse 1e-2, fine 1e-4) over the concave
-        # partial likelihood on 50 small samples
-        rng = RngStream(77)
-        coarse = np.arange(-5.0, 5.0 + 1e-9, 1e-2)
-        done = 0
-        while done < 50:
-            n = int(3 + rng.random() * 6)
-            t = rng.random(n)
-            z = (rng.random(n) < 0.5).astype(float)
-            if z.min() == z.max():
-                continue
-            s = SurvivalSample(
-                time=t,
-                event=np.ones(n),
-                treatment=z,
-                weight=0.5 + 1.5 * rng.random(n),
-            )
-            try:
-                fit = fit_weighted_cox(s)
-            except MonotoneLikelihoodError:
-                continue
-            ll = partial_loglik(coarse, s)
-            anchor = coarse[np.argmax(ll)]
-            fine = anchor + np.arange(-200, 201) * 1e-4
-            ll = partial_loglik(fine, s)
-            best = fine[np.argmax(ll)]
-            assert abs(fit.log_hr - best) <= 2e-4, (
-                f"sample {done}: newton {fit.log_hr:.6f} vs grid {best:.6f}"
-            )
-            done += 1
-
-    def test_cox_three_subject_closed_form(self):
-        # score equation reduces to 2 e^{2 beta} = 1
-        s = SurvivalSample(
-            time=np.array([1.0, 2.0, 3.0]),
-            event=np.ones(3),
-            treatment=np.array([1.0, 0.0, 1.0]),
-            weight=np.ones(3),
-        )
-        npt.assert_allclose(
-            fit_weighted_cox(s).log_hr, -0.5 * np.log(2.0), atol=1e-4
-        )
-
-    def test_logistic_intercept_closed_form(self):
-        rng = RngStream(88)
-        y = (rng.random(400) < 0.3).astype(float)
-        fit = fit_logistic(np.ones((400, 1)), y)
-        ybar = y.mean()
-        npt.assert_allclose(
-            fit.coefficients[0], np.log(ybar / (1.0 - ybar)), atol=1e-6
-        )
-
-
-class TestStructuralInvariants:
-    def test_stabilized_weight_means_near_one(self):
-        cfg = config_for(3, prevalence=0.25, n_subjects=100_000, beta_c=0.4599)
-        ds = gen_dataset(cfg, RngStream(SEED, 1))
-        w = build_treatment_weights(ds, cfg.scenario)
-        assert 0.97 <= w.sw1.mean() <= 1.03, f"sw1 mean {w.sw1.mean():.4f}"
-        assert 0.97 <= w.sw2.mean() <= 1.03, f"sw2 mean {w.sw2.mean():.4f}"
-
-    def test_covariate_drift_correlation(self):
-        cfg = config_for(3, prevalence=0.25, n_subjects=100_000, beta_c=0.4599)
-        ds = gen_dataset(cfg, RngStream(SEED, 1))
-        corr = np.corrcoef(ds["x1"], ds["x2"])[0, 1]
-        assert 0.23 <= corr <= 0.255, f"corr(x1, x2) = {corr:.4f}"
-
-    def test_second_event_never_outlives_first(self):
-        cfg = config_for(3, prevalence=0.25, n_subjects=50_000,
-                         beta_c=0.4599, tau=0.5)
-        ds = gen_dataset(cfg, RngStream(SEED, 2))
-        assert np.all(ds["delta2"] <= ds["delta1"])
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        truth = lookup_calibration(1.5)
-        cfg = config_for(3, prevalence=0.25, n_subjects=2_000,
-                         beta_c=truth.beta_c)
-        runs = []
-        for workers in ("1", "3", "1"):
-            monkeypatch.setenv("RECURWEIGHT_THREADS", workers)
-            rows = run_simulation(cfg, truth, n_reps=6, master_seed=SEED)
-            runs.append(tuple(dataclasses.astuple(r) for r in rows))
-        assert runs[0] == runs[1] == runs[2]

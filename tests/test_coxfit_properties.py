@@ -24,6 +24,8 @@ from recurweight.coxfit import (
 from recurweight.harness import run_replicate
 from recurweight.simgen import Scenario, config_for
 
+from cox_reference import score
+
 TOL = 1e-9
 
 PROPERTY = settings(
@@ -113,13 +115,6 @@ def test_zero_weight_row_equals_dropping_it(columns, data):
     assert padded == base
 
 
-def brute_score(beta, time, event, z, w):
-    """The weighted score by its definition: row i's risk set is every
-    row with time >= time[i], ties included (Breslow)."""
-    risk = (time[None, :] >= time[:, None]) * (w * np.exp(beta * z))
-    return np.sum(event * w * (z - risk @ z / risk.sum(axis=1)))
-
-
 @PROPERTY
 @given(rows())
 def test_sandwich_residuals_are_weight_derivatives_of_the_score(columns):
@@ -128,9 +123,8 @@ def test_sandwich_residuals_are_weight_derivatives_of_the_score(columns):
     n = len(columns["time"])
     result = fit_or_reject(columns)
     beta = result.log_hr
-    time, event, z, w = (
-        columns[k] for k in ("time", "event", "treatment", "weight")
-    )
+    sample = SurvivalSample(**columns)
+    w = columns["weight"]
     eps = 1e-6
     resid = np.empty(n)
     for i in range(n):
@@ -138,13 +132,10 @@ def test_sandwich_residuals_are_weight_derivatives_of_the_score(columns):
         up[i] += eps
         down[i] -= eps
         resid[i] = w[i] * (
-            brute_score(beta, time, event, z, up)
-            - brute_score(beta, time, event, z, down)
+            score(beta, SurvivalSample(**{**columns, "weight": up}))
+            - score(beta, SurvivalSample(**{**columns, "weight": down}))
         ) / (2 * eps)
-    info = -(
-        brute_score(beta + eps, time, event, z, w)
-        - brute_score(beta - eps, time, event, z, w)
-    ) / (2 * eps)
+    info = -(score(beta + eps, sample) - score(beta - eps, sample)) / (2 * eps)
     root_meat = np.sqrt(np.sum(resid**2))
     # compared as sqrt(meat): where the residuals are all nearly zero,
     # the differencing error (< 1e-7 there) needs an absolute floor

@@ -168,19 +168,3 @@ def test_too_few_observed_rows_for_the_second_model_raise():
     with pytest.raises(WeightModelError, match="fewer rows than coefficients"):
         build_treatment_weights(ds, 3)
 
-
-def _censored_dataset(n, tau, seed, beta_c=0.4599):
-    cfg = config_for(3, 0.25, n, beta_c=beta_c, tau=tau)
-    return gen_dataset(cfg, RngStream(seed))
-
-
-def test_censoring_fraction_tau_one():
-    ds = _censored_dataset(100_000, 1.0, 44)
-    frac = 1.0 - ds["delta1"].mean()
-    assert 0.25 < frac < 0.35
-
-
-def test_censoring_fraction_tau_quarter():
-    ds = _censored_dataset(100_000, 0.25, 45)
-    frac = 1.0 - ds["delta2"].mean()
-    assert 0.85 < frac < 0.95

@@ -75,10 +75,6 @@ def _unused_imports(sources):
     return unused
 
 
-def _is_private(qualified_name):
-    return qualified_name.rpartition(".")[2].startswith("_")
-
-
 def _library_sources():
     return {path.stem: path.read_text() for path in sorted(LIBRARY.glob("*.py"))}
 
@@ -125,11 +121,6 @@ def test_import_check_sees_each_kind_of_use():
 
 def test_every_import_is_used_in_its_module():
     assert sorted(_unused_imports(_library_sources())) == sorted(KEPT_IMPORTS)
-
-
-def test_every_private_helper_is_used_by_the_library():
-    assert [name for name in _unreferenced_names(_library_sources())
-            if _is_private(name)] == []
 
 
 def test_every_top_level_name_is_used_by_the_library():

@@ -2,9 +2,11 @@
 draw-order alignment across scenarios, censoring-indicator logic, and
 the generator's pinned bytes, draw order and peak memory."""
 
+import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -86,6 +88,21 @@ def test_scenario_coercion():
     assert ScenarioConfig(scenario=3).scenario is Scenario.TVTreatmentCovariates
     with pytest.raises(ValueError):
         ScenarioConfig(scenario=4)
+
+
+def test_config_is_frozen():
+    # the checks run only in the constructor, so a field set after it
+    # would skip them: tau = -1 censors every first event, n_subjects = 1
+    # gives a one-row cohort and prevalence = 0.3 has no intercepts
+    cfg = config_for(3, 0.5, 10_000, beta_c=0.783)
+    for name, value in (("tau", -1.0), ("n_subjects", 1), ("prevalence", 0.3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    # replace builds a new config, so its checks run again
+    with pytest.raises(ValueError, match="tau"):
+        dataclasses.replace(cfg, tau=-1.0)
+    # the pool's workers get their config by pickle
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 def test_treatment_prevalence_25():

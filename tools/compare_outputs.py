@@ -7,9 +7,9 @@ Each tree is a checkout of this repository; its commands run as
 `python -m recurweight.cli ...` with PYTHONPATH set to the tree's src
 directory and RECURWEIGHT_THREADS=1, each in a fresh working directory.
 For every command the exit code, stdout, stderr and the bytes of its
---out file are compared. The script stops at the first command that
-differs, names it and what differs, and exits 1; it exits 0 when every
-command matches.
+--out file are compared. Every command runs, and each prints "same" or
+"differs" with what differs; the script ends with "all N commands
+identical" and exit 0, or "K of N commands differ" and exit 1.
 
 The battery has 63 commands: `generate` at n = 2, 2,049, 16,384, 32,768,
 40,000 and 10^6 (one block of simgen.GEN_BLOCK_ROWS rows, partial or
@@ -38,6 +38,12 @@ SCENARIOS = ("independent", "tv-covariates", "tv-treatment")
 TAUS = (None, "0.5")
 FORMATS = ("csv", "md", "json")
 OUT = "out.dat"
+# the battery's usage errors; each exits 2
+USAGE_ERRORS = [["simulate", "--prevalence", "0.3"],
+                ["simulate", "--scenario", "independent", "--tau", "0"],
+                ["simulate", "--seed", "-1"],
+                ["generate", "--target-hr", "1.5,2"],
+                ["calibrate", "--targets", "0.5"]]
 
 
 def _tau(tau):
@@ -70,12 +76,7 @@ def battery():
     for target in ("3e6", "1e13"):
         commands.append(["calibrate", "--targets", target])
     commands.append(["generate", "--n", "2000", "--target-hr", "1.7", "--seed", "7"])
-    # usage errors, each exit 2
-    commands += [["simulate", "--prevalence", "0.3"],
-                 ["simulate", "--scenario", "independent", "--tau", "0"],
-                 ["simulate", "--seed", "-1"],
-                 ["generate", "--target-hr", "1.5,2"],
-                 ["calibrate", "--targets", "0.5"]]
+    commands += USAGE_ERRORS
     commands.append(["--help"])
     commands += [[command, "--help"] for command in ("calibrate", "simulate", "generate")]
     return commands
@@ -113,14 +114,19 @@ def main():
         if not Path(tree, "src", "recurweight").is_dir():
             parser.error(f"{tree} has no src/recurweight")
     commands = battery()
+    differ = 0
     for command in commands:
         old, new = run(args.old_tree, command), run(args.new_tree, command)
         line = "recurweight " + " ".join(command)
         if old != new:
+            differ += 1
             parts = ", ".join(k for k in old if old[k] != new[k])
-            print(f"differs ({parts}): {line}")
-            return 1
-        print(f"same (exit {old['exit code']}): {line}", flush=True)
+            print(f"differs ({parts}): {line}", flush=True)
+        else:
+            print(f"same (exit {old['exit code']}): {line}", flush=True)
+    if differ:
+        print(f"{differ} of {len(commands)} commands differ")
+        return 1
     print(f"all {len(commands)} commands identical")
     return 0
 
